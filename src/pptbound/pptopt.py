@@ -2,9 +2,12 @@
 minimization over that set, and optimality certificates.
 
 The optimizer is projected gradient descent with an Armijo backtracking
-line search; feasibility is maintained by Dykstra's alternating projection
-onto the intersection of the positive cone, the partial-transpose image of
-the positive cone, and the unit-trace hyperplane.
+line search.  Feasibility is kept by Dykstra's alternating projection over
+two sets: the spectraplex of unit-trace PSD matrices and its image under
+the partial transpose.  Each projection is one ``eigh`` plus a simplex
+projection of the eigenvalues, with no polishing step; the projected state
+is exact on the partial-transpose side and carries a reported positivity
+residual on the other.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import LN2, entropy_nats
+from .entropy import LN2, entropy_nats, relative_entropy_nats
 from .linalg import (
     DEFAULT_FLOOR,
     DEFAULT_SUPPORT_TOL,
@@ -34,6 +37,9 @@ from .states import DensityMatrix, tensor
 OBJ_STALL_WINDOW = 10
 STEP_FLOOR = 1e-14
 FACE_TOL = 1e-8
+# Weight of I/n mixed into a final sigma that touches the cone boundary, so
+# the reported bound is evaluated where sigma is positive definite.
+FINAL_MIX = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,8 @@ class OptimizerResult:
     iterations: int
     converged: bool
     final_grad_map_norm: float
+    capped_projections: int = 0
+    max_projection_residual: float = 0.0
 
 
 @dataclass(eq=False)
@@ -110,9 +118,19 @@ def is_ppt(rho: DensityMatrix, tol: float = 1e-8) -> PptCheck:
     return PptCheck(ok=low >= -tol, min_eig=low)
 
 
-def _psd_project(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitianize(m))
-    return hermitianize((v * np.clip(w, 0.0, None)) @ v.conj().T)
+def _simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex
+    (Duchi et al., ICML 2008): one threshold found from the sorted values."""
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    r = np.nonzero(u * np.arange(1, u.size + 1) > css)[0][-1]
+    return np.maximum(w - css[r] / (r + 1), 0.0)
+
+
+def _spectraplex_project(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest unit-trace PSD matrix to the Hermitian ``m``."""
+    w, v = np.linalg.eigh(m)
+    return (v * _simplex(w)) @ v.conj().T
 
 
 def project_ppt(
@@ -120,45 +138,37 @@ def project_ppt(
 ) -> ProjectedState:
     """Frobenius-nearest PPT density matrix to a Hermitian matrix.
 
-    Runs Dykstra's scheme over the three constraint sets and stops when the
-    per-cycle increment drift falls under ``cfg.dykstra_tol``.  The output
-    is polished so that the partial-transpose cone and trace constraints
-    hold to machine precision; the reported residual is the remaining
-    positivity deficiency on the untransposed side.  A result that used up
-    the cycle budget is returned flagged, not raised.
+    Runs Dykstra's scheme over two sets, the spectraplex S of unit-trace
+    PSD matrices and its partial-transpose image, whose intersection is the
+    PPT state set.  Each set is projected onto exactly with one ``eigh``:
+    for S, the spectrum goes onto the probability simplex; the partial
+    transpose is a trace-preserving Frobenius isometry, so the image is
+    handled by conjugating with it.  Cycles stop when the drift of both
+    increments falls under ``cfg.dykstra_tol``.  The returned state is the
+    iterate on the partial-transpose side, so it is PPT and of unit trace
+    to rounding; the reported residual is the positivity deficiency that
+    remains on the untransposed side.  A result that used up the cycle
+    budget is returned flagged, not raised.
     """
     cfg = cfg or OptimizerConfig()
     x = hermitianize(np.asarray(check_square(mat), dtype=complex))
-    n = dims.total
-    if x.shape[0] != n:
+    if x.shape[0] != dims.total:
         raise ValueError(f"matrix of size {x.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
-    eye = np.eye(n, dtype=complex)
-    p1 = np.zeros_like(x)
-    p2 = np.zeros_like(x)
-    p3 = np.zeros_like(x)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
     converged = False
     cycles = 0
     for cycles in range(1, cfg.dykstra_iters + 1):
-        q1, q2, q3 = p1, p2, p3
-        y = x + p1
-        x = _psd_project(y)
-        p1 = y - x
-        y = x + p2
-        x = partial_transpose(_psd_project(partial_transpose(y, dims)), dims)
-        p2 = y - x
-        y = x + p3
-        x = y - ((np.trace(y) - 1.0) / n) * eye
-        p3 = y - x
-        drift = math.sqrt(
-            frobenius(p1 - q1) ** 2 + frobenius(p2 - q2) ** 2 + frobenius(p3 - q3) ** 2
-        )
-        if drift <= cfg.dykstra_tol:
+        y = _spectraplex_project(x + p)
+        step_p = x - y
+        p += step_p
+        x = partial_transpose(_spectraplex_project(partial_transpose(y + q, dims)), dims)
+        step_q = y - x
+        q += step_q
+        if math.hypot(frobenius(step_p), frobenius(step_q)) <= cfg.dykstra_tol:
             converged = True
             break
-    x = _psd_project(x)
-    x = partial_transpose(_psd_project(partial_transpose(x, dims)), dims)
-    tr = float(np.real(np.trace(x)))
-    x = x / tr if tr > 0.0 else eye / n
+    x = hermitianize(x)
     residual = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
     return ProjectedState(
         state=DensityMatrix(matrix=x, dims=dims),
@@ -224,7 +234,12 @@ def minimize_rel_entropy(
     every iterate is passed through it, which restricts the search to the
     invariant family without changing the optimum.  Any feasible iterate
     gives a valid upper bound, so the returned value is certified from
-    above even when the convergence flag is false.
+    above even when the convergence flag is false.  A final sigma with an
+    eigenvalue at or under ``cfg.eig_floor`` is mixed with FINAL_MIX of
+    I/n, which keeps it PPT, and the bound is the relative entropy at the
+    mixed sigma.  Projections that used up their cycle budget are counted
+    in ``capped_projections``, and the largest positivity deficiency any
+    projection left is ``max_projection_residual``.
     """
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
@@ -234,15 +249,21 @@ def minimize_rel_entropy(
             bound_bits=0.0, sigma_opt=rho, iterations=0, converged=True, final_grad_map_norm=0.0
         )
     n = dims.total
+    capped = 0
+    worst_residual = 0.0
 
-    def constrain(mat: np.ndarray) -> np.ndarray:
+    def project(mat: np.ndarray) -> np.ndarray:
+        nonlocal capped, worst_residual
+        proj = project_ppt(mat, dims, cfg)
+        capped += not proj.converged
+        worst_residual = max(worst_residual, proj.residual)
         if invariance_map is None:
-            return mat
-        return invariance_map(DensityMatrix(matrix=mat, dims=dims)).matrix
+            return proj.state.matrix
+        return invariance_map(proj.state).matrix
 
     c0 = -entropy_nats(rho_mat, cfg.eig_floor)
     start = np.eye(n, dtype=complex) / n if initial is None else np.asarray(initial.matrix, dtype=complex)
-    sigma = constrain(project_ppt(start, dims, cfg).state.matrix)
+    sigma = project(start)
     f_cur, cache = _evaluate(rho_mat, sigma, c0, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
     if cache is None:
         raise ValueError("initial iterate violates the support condition")
@@ -257,8 +278,7 @@ def minimize_rel_entropy(
         cand = sigma
         f_new, cache_new = f_cur, cache
         while step >= STEP_FLOOR:
-            proj = project_ppt(sigma + step * grad, dims, cfg)
-            cand = constrain(proj.state.matrix)
+            cand = project(sigma + step * grad)
             f_new, cache_new = _evaluate(rho_mat, cand, c0, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
             if math.isfinite(f_new):
                 predicted = -float(np.real(np.trace(grad @ (cand - sigma))))
@@ -283,12 +303,17 @@ def minimize_rel_entropy(
                 converged = True
                 break
         step = min(step * 2.0, cfg.step_init)
+    if float(np.linalg.eigvalsh(sigma)[0]) <= cfg.eig_floor:
+        sigma = (1.0 - FINAL_MIX) * sigma + (FINAL_MIX / n) * np.eye(n)
+        f_cur = relative_entropy_nats(rho_mat, sigma, cfg.eig_floor)
     return OptimizerResult(
         bound_bits=f_cur / LN2,
         sigma_opt=DensityMatrix(matrix=sigma, dims=dims),
         iterations=iterations,
         converged=converged,
         final_grad_map_norm=grad_map,
+        capped_projections=capped,
+        max_projection_residual=worst_residual,
     )
 
 

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density, random_hermitian
 from pptbound.entropy import relative_entropy
-from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound
-from pptbound.linalg import BipartiteDims, frobenius, hermitianize
+from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pure_state_bound
+from pptbound.linalg import BipartiteDims, frobenius, hermitianize, partial_transpose
 from pptbound.pptopt import (
     OptimizerConfig,
+    _simplex,
     additivity_check,
     is_ppt,
     kkt_check,
@@ -26,6 +29,7 @@ from pptbound.states import (
     isotropic,
     max_correlated,
     max_entangled_projector,
+    pure_state,
 )
 
 DIMS22 = BipartiteDims(2, 2)
@@ -82,6 +86,42 @@ def test_project_ppt_accepts_hermitian_non_state_input():
     assert is_ppt(out.state, tol=1e-10).ok
 
 
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_simplex_projection_is_the_nearest_point(values):
+    w = np.array(values)
+    q = _simplex(w)
+    assert (q >= 0.0).all()
+    assert abs(q.sum() - 1.0) <= 1e-12
+    # Variational inequality: w - q makes an obtuse angle with every
+    # direction from q to a vertex e_i, hence with the whole simplex.
+    r = w - q
+    assert (r - r @ q <= 1e-12).all()
+
+
+@given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+@settings(max_examples=30, deadline=None)
+def test_project_ppt_is_the_nearest_ppt_state(seed, shape):
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(*shape)
+    n = dims.total
+    x = random_hermitian(rng, n)
+    out = project_ppt(x, dims)
+    p = out.state.matrix
+    assert abs(np.trace(p) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(partial_transpose(p, dims))[0] >= -1e-12
+    assert out.residual == max(0.0, -np.linalg.eigvalsh(p)[0])
+    if not out.converged:
+        # Some unit-scale inputs in 3x3 need more than the default cycle
+        # budget; such a result is flagged, and only its feasible side holds.
+        assert out.cycles == OptimizerConfig().dykstra_iters
+        return
+    assert out.residual <= 1e-10
+    products = [np.kron(random_density(rng, dims.d_a), random_density(rng, dims.d_b)) for _ in range(4)]
+    for y in products + [np.eye(n) / n]:
+        assert np.vdot(x - p, y - p).real <= 1e-9
+
+
 def test_minimize_returns_zero_for_ppt_input():
     rho = isotropic(2, 0.4)
     res = minimize_rel_entropy(rho)
@@ -136,6 +176,24 @@ def test_minimize_survives_dominant_weight_near_boundary():
     res = minimize_rel_entropy(bell_diagonal(p))
     assert res.converged
     assert res.bound_bits == pytest.approx(bell_z2_bound(p).bound_bits, abs=1e-6)
+
+
+def test_minimize_reports_capped_projections():
+    res = minimize_rel_entropy(isotropic(2, 0.9), OptimizerConfig(dykstra_iters=1))
+    assert res.capped_projections > 0
+    assert res.max_projection_residual >= 0.0
+
+
+def test_minimize_bound_not_below_optimum_on_singular_sigma():
+    # The optimal sigma is singular on the 1e-9 Schmidt direction; the bound
+    # must still be evaluated at a positive definite PPT sigma.
+    p = np.array([0.6, 0.4 - 1e-9, 1e-9])
+    rho = pure_state(p)
+    res = minimize_rel_entropy(rho)
+    assert res.bound_bits >= pure_state_bound(p).bound_bits
+    assert res.bound_bits == pytest.approx(relative_entropy(rho, res.sigma_opt), abs=1e-12)
+    assert np.linalg.eigvalsh(res.sigma_opt.matrix)[0] > 0.0
+    assert is_ppt(res.sigma_opt).ok
 
 
 def test_kkt_check_passes_on_counterexample_pair():

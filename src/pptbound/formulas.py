@@ -137,7 +137,7 @@ class NonadditivityReport:
         return max(values) - min(values)
 
 
-EXPERIMENT_CONFIG = OptimizerConfig(max_iters=50_000, grad_map_tol=1e-9, obj_tol=1e-14)
+EXPERIMENT_CONFIG = OptimizerConfig(max_iters=50_000, grad_map_tol=1e-9)
 
 
 def nonadditivity_experiment(

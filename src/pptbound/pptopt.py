@@ -1,18 +1,23 @@
 """PPT membership, Frobenius projection onto the PPT set, relative-entropy
 minimization over that set, and optimality certificates.
 
-The optimizer is projected gradient descent with an Armijo backtracking
-line search.  Feasibility is kept by Dykstra's alternating projection over
-two sets: the spectraplex of unit-trace PSD matrices and its image under
-the partial transpose.  Each projection is one ``eigh`` plus a simplex
-projection of the eigenvalues, with no polishing step; the projected state
-is exact on the partial-transpose side and carries a reported positivity
-residual on the other.
+The optimizer is spectral projected gradient (Birgin, Martinez & Raydan,
+SIAM J. Optim. 10, 2000): each iteration projects one gradient step whose
+length is the Barzilai-Borwein estimate of the inverse curvature, then
+runs a nonmonotone Armijo search along the segment to the projected
+point.  Every trial point on that segment is feasible by convexity, so an
+iteration costs exactly one projection.  Feasibility is kept by Dykstra's
+alternating projection over two sets: the spectraplex of unit-trace PSD
+matrices and its image under the partial transpose.  Each projection is
+one ``eigh`` plus a simplex projection of the eigenvalues, with no
+polishing step; the projected state is exact on the partial-transpose
+side and carries a reported positivity residual on the other.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,11 +39,17 @@ from .linalg import (
 )
 from .states import DensityMatrix, tensor
 
-OBJ_STALL_WINDOW = 10
 STEP_FLOOR = 1e-14
+# Clamp on the Barzilai-Borwein step length.
+SPECTRAL_MIN = 1e-10
+SPECTRAL_MAX = 1e10
+# The nonmonotone Armijo search compares against the largest of the last
+# this many accepted objective values.
+NONMONOTONE_MEMORY = 10
 FACE_TOL = 1e-8
-# Weight of I/n mixed into a final sigma that touches the cone boundary, so
-# the reported bound is evaluated where sigma is positive definite.
+# Least weight of I/n mixed into a final sigma that touches the cone
+# boundary, so the reported bound is evaluated where sigma is positive
+# definite.
 FINAL_MIX = 1e-9
 
 
@@ -49,7 +60,6 @@ class OptimizerConfig:
     armijo_c: float = 1e-4
     backtrack_ratio: float = 0.5
     grad_map_tol: float = 1e-7
-    obj_tol: float = 1e-10
     dykstra_iters: int = 5000
     dykstra_tol: float = 1e-11
     eig_floor: float = DEFAULT_FLOOR
@@ -221,6 +231,16 @@ def _gradient_from_cache(cache: tuple, floor: float, support_tol: float) -> np.n
     return hermitianize(v @ (rho_t * f) @ v.conj().T)
 
 
+def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
+    """Mix sigma, whose least eigenvalue is ``low``, with eps I/n where
+    eps = FINAL_MIX + n max(0, -low): the result is positive definite even
+    when a projection left a positivity residual, and, since the partial
+    transpose fixes I, it stays PPT and of unit trace."""
+    n = sigma.shape[0]
+    eps = FINAL_MIX + n * max(0.0, -low)
+    return (1.0 - eps) * sigma + (eps / n) * np.eye(n)
+
+
 def minimize_rel_entropy(
     rho: DensityMatrix,
     cfg: OptimizerConfig | None = None,
@@ -229,17 +249,34 @@ def minimize_rel_entropy(
 ) -> OptimizerResult:
     """Minimize S(rho || sigma) over PPT density matrices sigma.
 
-    Projected gradient descent from the maximally mixed state (or from
-    ``initial``).  When ``invariance_map`` is given (a twirl fixing rho),
-    every iterate is passed through it, which restricts the search to the
-    invariant family without changing the optimum.  Any feasible iterate
-    gives a valid upper bound, so the returned value is certified from
-    above even when the convergence flag is false.  A final sigma with an
-    eigenvalue at or under ``cfg.eig_floor`` is mixed with FINAL_MIX of
-    I/n, which keeps it PPT, and the bound is the relative entropy at the
-    mixed sigma.  Projections that used up their cycle budget are counted
-    in ``capped_projections``, and the largest positivity deficiency any
-    projection left is ``max_projection_residual``.
+    Spectral projected gradient from the maximally mixed state (or from
+    ``initial``).  With G the gradient of Tr(rho ln sigma) and s the
+    spectral step (``cfg.step_init`` at first), each iteration projects
+    once to get the direction d = P(sigma + s G) - sigma.  Its scaled norm
+    ``grad_map`` = |d| / min(s, 1) bounds the unit-step gradient map
+    |P(sigma + G) - sigma| from above, because |P(x + s G) - x| does not
+    decrease in s while |P(x + s G) - x| / s does not increase; the run
+    reports ``converged`` only when ``grad_map`` is at most
+    ``cfg.grad_map_tol``.  Otherwise a nonmonotone Armijo search tries
+    sigma + t d for t = 1, ``cfg.backtrack_ratio``, ... down to STEP_FLOOR
+    against the largest of the last NONMONOTONE_MEMORY accepted values,
+    and the next s is the Barzilai-Borwein ratio <ds, ds> / <ds, -dG>,
+    clamped to [SPECTRAL_MIN, SPECTRAL_MAX].  There is no objective-stall
+    stop: a search that finds no acceptable step ends the run unconverged
+    at the last accepted sigma, as does the iteration cap.
+
+    When ``invariance_map`` is given (a twirl fixing rho), every projected
+    point is passed through it; segments between invariant points stay
+    invariant, so the search is restricted to the invariant family
+    without changing the optimum.  Any feasible iterate gives a valid
+    upper bound, so the returned value is certified from above even when
+    the convergence flag is false.  A final sigma with an eigenvalue at or
+    under ``cfg.eig_floor`` is mixed with enough of I/n to outweigh any
+    negative eigenvalue (at least FINAL_MIX), which keeps it PPT, and the
+    bound is the relative entropy at the mixed sigma.  Projections that
+    used up their cycle budget are counted in ``capped_projections``, and
+    the largest positivity deficiency any projection left is
+    ``max_projection_residual``.
     """
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
@@ -269,42 +306,38 @@ def minimize_rel_entropy(
         raise ValueError("initial iterate violates the support condition")
     grad = _gradient_from_cache(cache, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
     step = cfg.step_init
-    history = [f_cur]
+    history = deque([f_cur], maxlen=NONMONOTONE_MEMORY)
     converged = False
     grad_map = math.inf
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        accepted = False
-        cand = sigma
-        f_new, cache_new = f_cur, cache
-        while step >= STEP_FLOOR:
-            cand = project(sigma + step * grad)
-            f_new, cache_new = _evaluate(rho_mat, cand, c0, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
-            if math.isfinite(f_new):
-                predicted = -float(np.real(np.trace(grad @ (cand - sigma))))
-                if f_new <= f_cur + cfg.armijo_c * predicted:
-                    accepted = True
-                    break
-            step *= cfg.backtrack_ratio
-        if not accepted:
-            converged = True
-            grad_map = 0.0 if math.isinf(grad_map) else grad_map
-            break
-        grad_map = frobenius(cand - sigma) / step
-        sigma, f_cur, cache = cand, f_new, cache_new
-        grad = _gradient_from_cache(cache, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
-        history.append(f_cur)
+        d = project(sigma + step * grad) - sigma
+        grad_map = frobenius(d) / min(step, 1.0)
         if grad_map <= cfg.grad_map_tol:
             converged = True
             break
-        if len(history) > OBJ_STALL_WINDOW:
-            drop = history[-1 - OBJ_STALL_WINDOW] - f_cur
-            if drop <= cfg.obj_tol * max(1.0, abs(f_cur)):
-                converged = True
+        slope = float(np.vdot(grad, d).real)
+        reference = max(history)
+        t = 1.0
+        while t >= STEP_FLOOR:
+            cand = sigma + t * d
+            f_new, cache_new = _evaluate(rho_mat, cand, c0, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
+            if f_new <= reference - cfg.armijo_c * t * slope:
                 break
-        step = min(step * 2.0, cfg.step_init)
-    if float(np.linalg.eigvalsh(sigma)[0]) <= cfg.eig_floor:
-        sigma = (1.0 - FINAL_MIX) * sigma + (FINAL_MIX / n) * np.eye(n)
+            t *= cfg.backtrack_ratio
+        else:
+            break  # no acceptable step down to STEP_FLOOR: stop unconverged
+        grad_new = _gradient_from_cache(cache_new, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
+        ds = t * d
+        curvature = float(np.vdot(ds, grad - grad_new).real)
+        step = SPECTRAL_MAX
+        if curvature > 0.0:
+            step = min(max(frobenius(ds) ** 2 / curvature, SPECTRAL_MIN), SPECTRAL_MAX)
+        sigma, f_cur, grad = cand, f_new, grad_new
+        history.append(f_cur)
+    low = float(np.linalg.eigvalsh(sigma)[0])
+    if low <= cfg.eig_floor:
+        sigma = _mix_with_identity(sigma, low)
         f_cur = relative_entropy_nats(rho_mat, sigma, cfg.eig_floor)
     return OptimizerResult(
         bound_bits=f_cur / LN2,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_density
 from pptbound.entropy import relative_entropy, shannon_entropy, von_neumann_entropy
 from pptbound.formulas import (
+    EXPERIMENT_CONFIG,
     bell_z2_bound,
     isotropic_bound,
     maxcorr_bound,
@@ -137,8 +138,15 @@ def test_pure_state_bound_attained():
     )
 
 
+def test_two_copy_solve_stops_on_certificate():
+    rep = nonadditivity_experiment(EXPERIMENT_CONFIG)
+    assert rep.optimizer.converged
+    assert rep.optimizer.final_grad_map_norm <= 1e-9
+    assert rep.optimizer.iterations <= 100
+
+
 def test_nonadditivity_experiment_report():
-    cfg = OptimizerConfig(max_iters=20_000, grad_map_tol=1e-8, obj_tol=1e-12)
+    cfg = OptimizerConfig(max_iters=20_000, grad_map_tol=1e-8)
     rep = nonadditivity_experiment(cfg, restarts=1, seed=3)
     assert rep.b1_bits == pytest.approx(0.18779749924411723, abs=1e-9)
     assert rep.kkt_single.passed

@@ -11,6 +11,7 @@ from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pur
 from pptbound.linalg import BipartiteDims, frobenius, hermitianize, partial_transpose
 from pptbound.pptopt import (
     OptimizerConfig,
+    _mix_with_identity,
     _simplex,
     additivity_check,
     is_ppt,
@@ -162,11 +163,36 @@ def test_minimize_accepts_warm_start():
 
 
 def test_minimize_iteration_cap_reports_nonconvergence():
-    cfg = OptimizerConfig(max_iters=1, grad_map_tol=1e-15, obj_tol=0.0)
+    cfg = OptimizerConfig(max_iters=1, grad_map_tol=1e-15)
     res = minimize_rel_entropy(isotropic(2, 0.9), cfg)
     assert not res.converged
     assert res.iterations == 1
     assert res.bound_bits >= isotropic_bound(2, 0.9).bound_bits - 1e-9
+
+
+def test_minimize_line_search_exhaustion_reports_nonconvergence():
+    # f is convex, so no step can meet an Armijo constant above 1.
+    res = minimize_rel_entropy(isotropic(2, 0.9), OptimizerConfig(armijo_c=2.0))
+    assert not res.converged
+    assert res.iterations == 1
+    assert res.bound_bits >= isotropic_bound(2, 0.9).bound_bits - 1e-9
+
+
+# The two slowest Bell-diagonal solves among Dirichlet(1, 1, 1, 1) draws of
+# default_rng(0); each must end on the gradient-map certificate.
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.00013953969812733374, 0.029264398201111645, 0.9108992570035426, 0.059696805097218565],
+        [0.627719708390659, 0.07725481544772529, 0.2306851606875173, 0.06434031547409826],
+    ],
+)
+def test_minimize_slow_bell_states_stop_on_certificate(p):
+    cfg = OptimizerConfig()
+    res = minimize_rel_entropy(bell_diagonal(p), cfg)
+    assert res.converged
+    assert res.final_grad_map_norm <= cfg.grad_map_tol
+    assert res.bound_bits == pytest.approx(bell_z2_bound(np.array(p)).bound_bits, abs=1e-6)
 
 
 def test_minimize_survives_dominant_weight_near_boundary():
@@ -194,6 +220,21 @@ def test_minimize_bound_not_below_optimum_on_singular_sigma():
     assert res.bound_bits == pytest.approx(relative_entropy(rho, res.sigma_opt), abs=1e-12)
     assert np.linalg.eigvalsh(res.sigma_opt.matrix)[0] > 0.0
     assert is_ppt(res.sigma_opt).ok
+
+
+def test_final_mix_outweighs_negative_eigenvalue():
+    # The partial transpose of an isotropic state just past f = 1/2 is PPT,
+    # unit-trace, and has least eigenvalue -1e-9, as a capped projection
+    # can leave; a fixed 1e-9 I/n mix would not lift it.
+    sigma = partial_transpose(isotropic(2, 0.5 + 1e-9).matrix, DIMS22)
+    low = np.linalg.eigvalsh(sigma)[0]
+    assert low == pytest.approx(-1e-9, rel=1e-6)
+    mixed = _mix_with_identity(sigma, low)
+    assert np.linalg.eigvalsh(mixed)[0] > 0.0
+    assert abs(np.trace(mixed) - 1.0) <= 1e-12
+    state = DensityMatrix(matrix=mixed, dims=DIMS22)
+    assert is_ppt(state, tol=0.0).ok
+    assert np.isfinite(relative_entropy(isotropic(2, 0.9), state))
 
 
 def test_kkt_check_passes_on_counterexample_pair():

@@ -18,14 +18,9 @@ from .formulas import (
 )
 from .linalg import (
     BipartiteDims,
-    EigenDecomposition,
     HermiticityError,
-    PositivityError,
     SupportError,
     dd_gradient,
-    eig_hermitian,
-    kron,
-    matrix_log,
     partial_trace,
     partial_transpose,
 )
@@ -71,13 +66,11 @@ __all__ = [
     "BipartiteDims",
     "ClosedFormResult",
     "DensityMatrix",
-    "EigenDecomposition",
     "HermiticityError",
     "KktReport",
     "NonadditivityReport",
     "OptimizerConfig",
     "OptimizerResult",
-    "PositivityError",
     "PptCheck",
     "ProjectedState",
     "StateSpecError",
@@ -91,7 +84,6 @@ __all__ = [
     "counterexample_pair",
     "dd_gradient",
     "density_matrix",
-    "eig_hermitian",
     "fidelity",
     "generalized_bell_basis",
     "is_ppt",
@@ -100,9 +92,7 @@ __all__ = [
     "isotropic_twirl",
     "kkt_check",
     "kkt_check_maxcorr",
-    "kron",
     "load_state",
-    "matrix_log",
     "max_correlated",
     "maxcorr_bound",
     "minimize_rel_entropy",

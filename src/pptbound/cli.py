@@ -3,14 +3,15 @@
 Three subcommands: ``bound`` minimizes relative entropy over the PPT cone
 for a state file, ``kkt`` checks an optimality certificate for a state
 pair, and ``experiment`` reproduces the scans and the non-additivity run
-as CSV.  Exit codes: 0 success, 1 input error, 2 optimizer did not
-converge, 3 certificate check failed.
+as CSV.  Exit codes: 0 success, 1 input error (including a bad flag
+value), 2 optimizer did not converge, 3 certificate check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -19,10 +20,9 @@ import numpy as np
 
 from .entropy import fidelity
 from .formulas import bell_z2_bound, isotropic_bound, nonadditivity_experiment
-from .linalg import eig_hermitian
-from .pptopt import OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy, tensor_square_pair
+from .pptopt import OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy
 from .statespec import StateSpecError, load_state
-from .states import bell_diagonal, isotropic
+from .states import bell_diagonal, isotropic, tensor
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -40,6 +40,32 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _count(low: int):
+    """Argparse type for an integer flag that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """Argparse type for a tolerance flag: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -70,7 +96,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         f"converged = {_flag(result.converged)}  iterations = {result.iterations}"
         f"  grad_map_norm = {_fmt(result.final_grad_map_norm, p)}"
     )
-    eigs = eig_hermitian(result.sigma_opt.matrix).eigenvalues
+    eigs = np.linalg.eigvalsh(result.sigma_opt.matrix)
     print("sigma_opt eigenvalues: " + " ".join(_fmt(v, p) for v in eigs))
     if d.d_a == d.d_b:
         print(f"sigma_opt entanglement fidelity = {_fmt(fidelity(result.sigma_opt), p)}")
@@ -99,7 +125,7 @@ def cmd_kkt(args: argparse.Namespace) -> int:
             f"sigma is {sigma.dims.d_a}x{sigma.dims.d_b}"
         )
     if args.tensor_square:
-        rho, sigma = tensor_square_pair(rho, sigma)
+        rho, sigma = tensor(rho, rho), tensor(sigma, sigma)
     report = kkt_check(rho, sigma, tol=args.tol)
     p = args.precision
     print(f"complementarity residual = {_fmt(report.complementarity_residual, p)}")
@@ -109,8 +135,9 @@ def cmd_kkt(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
 
-def _rows_nonadditivity(precision: int) -> tuple[list[str], list[list[str]]]:
-    rep = nonadditivity_experiment()
+def _rows_nonadditivity(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+    precision = args.precision
+    rep = nonadditivity_experiment(restarts=args.restarts or 0, seed=args.seed or 0)
     header = [
         "b1_bits",
         "b2_bits",
@@ -128,10 +155,13 @@ def _rows_nonadditivity(precision: int) -> tuple[list[str], list[list[str]]]:
         _flag(rep.optimizer.converged),
     ]
     print(f"gap_bits = {_fmt(rep.gap_bits, precision)}")
+    if rep.restart_b2_bits:
+        print(f"b2_spread_bits = {_fmt(rep.b2_spread_bits, precision)}")
     return header, [row]
 
 
-def _rows_isotropic_scan(precision: int) -> tuple[list[str], list[list[str]]]:
+def _rows_isotropic_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+    precision = args.precision
     header = ["k", "f", "closed_form_bits", "optimizer_bits", "abs_diff", "converged"]
     rows = []
     for k in ISOTROPIC_SCAN_K:
@@ -151,7 +181,8 @@ def _rows_isotropic_scan(precision: int) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _rows_bell_scan(precision: int) -> tuple[list[str], list[list[str]]]:
+def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+    precision = args.precision
     header = ["p1", "p2", "p3", "p4", "max_p", "is_ppt", "bound_bits"]
     rows = []
     n = BELL_SCAN_STEPS
@@ -183,7 +214,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise StateSpecError(
             f"unknown experiment {args.name!r}; expected one of {', '.join(sorted(builders))}"
         )
-    header, rows = builder(args.precision)
+    if args.name != "nonadditivity" and (args.restarts is not None or args.seed is not None):
+        raise ValueError("--restarts and --seed apply only to the nonadditivity experiment")
+    header, rows = builder(args)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -198,28 +231,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="minimize relative entropy over PPT states")
     p_bound.add_argument("--state", required=True, help="state file (JSON)")
-    p_bound.add_argument("--tol", type=float, default=None, help="gradient-map stopping tolerance")
-    p_bound.add_argument("--max-iters", type=int, default=None, help="iteration cap")
+    p_bound.add_argument("--tol", type=_tolerance, default=None, help="gradient-map stopping tolerance")
+    p_bound.add_argument("--max-iters", type=_count(1), default=None, help="iteration cap")
     p_bound.add_argument("--out", default=None, help="optional CSV output path")
-    p_bound.add_argument("--precision", type=int, default=9, help="significant digits in output")
+    p_bound.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
     p_bound.set_defaults(func=cmd_bound)
 
     p_kkt = sub.add_parser("kkt", help="check an optimality certificate for a state pair")
     p_kkt.add_argument("--rho", required=True, help="state file for the argument state")
     p_kkt.add_argument("--sigma", required=True, help="state file for the candidate optimum")
-    p_kkt.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance")
+    p_kkt.add_argument("--tol", type=_tolerance, default=1e-8, help="certificate tolerance")
     p_kkt.add_argument(
         "--tensor-square",
         action="store_true",
         help="check the pair (rho x rho, sigma x sigma) instead",
     )
-    p_kkt.add_argument("--precision", type=int, default=9, help="significant digits in output")
+    p_kkt.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
     p_kkt.set_defaults(func=cmd_kkt)
 
     p_exp = sub.add_parser("experiment", help="write a named experiment as CSV")
     p_exp.add_argument("name", help="nonadditivity | isotropic_scan | bell_scan")
     p_exp.add_argument("--out", required=True, help="CSV output path")
-    p_exp.add_argument("--precision", type=int, default=9, help="significant digits in output")
+    p_exp.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
+    p_exp.add_argument(
+        "--restarts",
+        type=_count(0),
+        default=None,
+        help="nonadditivity only: extra two-copy runs from random feasible starts (default 0)",
+    )
+    p_exp.add_argument(
+        "--seed", type=_count(0), default=None, help="nonadditivity only: seed of the restarts (default 0)"
+    )
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_FLOOR, DEFAULT_SUPPORT_TOL, eig_hermitian
+from .linalg import DEFAULT_FLOOR, DEFAULT_SUPPORT_TOL, SpectralPoint, hermitianize, require_hermitian
 from .states import DensityMatrix, entanglement_fidelity
 
 LN2 = math.log(2.0)
@@ -36,12 +36,12 @@ def shannon_entropy(p: np.ndarray, floor: float = DEFAULT_FLOOR) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix, floor: float = DEFAULT_FLOOR) -> float:
     """S(rho) = -Tr(rho log2 rho), clamped at zero."""
-    return shannon_entropy(eig_hermitian(rho.matrix).eigenvalues, floor)
+    return max(0.0, entropy_nats(rho.matrix, floor) / LN2)
 
 
 def entropy_nats(rho_mat: np.ndarray, floor: float = DEFAULT_FLOOR) -> float:
     """-Tr(rho ln rho) of a positive semidefinite matrix."""
-    w = eig_hermitian(rho_mat).eigenvalues
+    w = np.linalg.eigvalsh(hermitianize(require_hermitian(rho_mat, what="rho")))
     w = w[w > floor]
     if w.size == 0:
         return 0.0
@@ -62,15 +62,10 @@ def relative_entropy_nats(
     """
     if rho_mat.shape != sigma_mat.shape:
         raise ValueError(f"shape mismatch: rho {rho_mat.shape}, sigma {sigma_mat.shape}")
-    dec = eig_hermitian(sigma_mat)
-    s, v = dec.eigenvalues, dec.eigenvectors
-    weights = np.real(np.einsum("ij,ik,kj->j", v.conj(), rho_mat, v))
-    kernel = s <= floor
-    if kernel.any() and float(weights[kernel].max(initial=0.0)) > support_tol:
+    point = SpectralPoint(rho_mat, require_hermitian(sigma_mat, what="sigma"), floor, support_tol)
+    if point.leaks(floor) is not None:
         return math.inf
-    live = ~kernel
-    cross = float(weights[live] @ np.log(s[live])) if live.any() else 0.0
-    return -entropy_nats(rho_mat, floor) - cross
+    return -entropy_nats(rho_mat, floor) - point.cross()
 
 
 def relative_entropy(

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import LN2, relative_entropy, shannon_entropy
-from .linalg import eig_hermitian, hermitianize
 from .pptopt import (
     KktReport,
     OptimizerConfig,
@@ -21,6 +20,8 @@ from .states import (
     BipartiteDims,
     DensityMatrix,
     bell_diagonal,
+    check_alpha,
+    check_probabilities,
     counterexample_pair,
     isotropic,
     max_correlated,
@@ -70,11 +71,7 @@ def bell_z2_bound(p: np.ndarray) -> ClosedFormResult:
     weight 1/2 on the dominant Bell label and rescales the rest; the
     returned permutation sorts the input weights descending.
     """
-    w = np.asarray(p, dtype=float)
-    if w.shape != (4,):
-        raise ValueError(f"need 4 weights, got shape {w.shape}")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must form a probability vector, got {w}")
+    w = check_probabilities(p, "weights", size=4)
     order = tuple(int(i) for i in np.argsort(-w, kind="stable"))
     top = order[0]
     a = float(w[top])
@@ -100,21 +97,16 @@ def maxcorr_bound(alpha: np.ndarray) -> ClosedFormResult:
     """Exact bound for the maximally correlated state built from alpha:
     the entropy of the diagonal of alpha minus the entropy of alpha, with
     the diagonal-only state as the optimizer."""
-    rho = max_correlated(alpha)
-    a = hermitianize(np.asarray(alpha, dtype=complex))
+    a = check_alpha(alpha)
     diag = np.clip(np.real(np.diag(a)), 0.0, None)
-    value = shannon_entropy(diag) - shannon_entropy(eig_hermitian(a).eigenvalues)
+    value = shannon_entropy(diag) - shannon_entropy(np.linalg.eigvalsh(a))
     sigma = max_correlated(np.diag(diag) / diag.sum())
     return ClosedFormResult(bound_bits=value, sigma_opt=sigma, family="max_correlated")
 
 
 def pure_state_bound(schmidt: np.ndarray) -> ClosedFormResult:
     """Exact bound for a pure state: the entropy of its Schmidt weights."""
-    p = np.asarray(schmidt, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError(f"need at least two Schmidt coefficients, got shape {p.shape}")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"Schmidt coefficients must form a probability vector, got {p}")
+    p = check_probabilities(schmidt, "Schmidt coefficients")
     q = np.clip(p, 0.0, None)
     sigma = max_correlated(np.diag(q / q.sum()))
     return ClosedFormResult(bound_bits=shannon_entropy(p), sigma_opt=sigma, family="pure")

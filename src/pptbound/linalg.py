@@ -14,15 +14,10 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 DEFAULT_FLOOR = 1e-12
 DEFAULT_SUPPORT_TOL = 1e-9
-PSD_TOL = 1e-10
 
 
 class HermiticityError(ValueError):
     """An input that must be Hermitian is not, beyond tolerance."""
-
-
-class PositivityError(ValueError):
-    """An input that must be positive semidefinite has a negative eigenvalue."""
 
 
 class SupportError(ValueError):
@@ -43,15 +38,6 @@ class BipartiteDims:
     @property
     def total(self) -> int:
         return self.d_a * self.d_b
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix: ascending real eigenvalues and
-    a unitary whose columns are the matching eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -79,39 +65,6 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "
     return a
 
 
-def eig_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects non-Hermitian input instead of silently symmetrizing it.
-    """
-    a = require_hermitian(m, rtol)
-    w, v = np.linalg.eigh(hermitianize(a))
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def exp_hermitian(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via its spectral form."""
-    dec = eig_hermitian(m)
-    w, v = np.exp(dec.eigenvalues), dec.eigenvectors
-    return hermitianize((v * w) @ v.conj().T)
-
-
-def matrix_log(m: np.ndarray, floor: float = DEFAULT_FLOOR, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Natural matrix logarithm of a positive semidefinite matrix.
-
-    Eigenvalues are clamped below at ``floor`` so boundary states stay
-    representable; an eigenvalue under ``-psd_tol`` is a domain error.
-    """
-    dec = eig_hermitian(m)
-    if dec.eigenvalues[0] < -psd_tol:
-        raise PositivityError(
-            f"matrix_log needs a positive semidefinite input, min eigenvalue {dec.eigenvalues[0]:.3e}"
-        )
-    w = np.log(np.maximum(dec.eigenvalues, floor))
-    v = dec.eigenvectors
-    return hermitianize((v * w) @ v.conj().T)
-
-
 def divided_difference_log(s: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarray:
     """Table of first divided differences of ln over the clamped values ``s``.
 
@@ -128,43 +81,81 @@ def divided_difference_log(s: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.nd
     return ratio / avg
 
 
+class SpectralPoint:
+    """Tr(rho ln sigma), its support test and its gradient from one ``eigh``
+    of sigma.
+
+    Holds the ascending eigenvalues and eigenvectors V of sigma, ``rho_t``
+    = V^dag rho V and the rho-weights, the real diagonal of ``rho_t``.
+    Eigenvalues at or under ``floor`` form the kernel.  Nothing is
+    validated here; callers that take outside input check it first.
+    """
+
+    def __init__(
+        self,
+        rho: np.ndarray,
+        sigma: np.ndarray,
+        floor: float = DEFAULT_FLOOR,
+        support_tol: float = DEFAULT_SUPPORT_TOL,
+    ) -> None:
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(hermitianize(sigma))
+        v = self.eigenvectors
+        self.rho_t = v.conj().T @ rho @ v
+        self.weights = np.real(np.diag(self.rho_t))
+        self.floor = floor
+        self.support_tol = support_tol
+
+    def leaks(self, wall: float) -> float | None:
+        """Largest rho-weight above ``support_tol`` on an eigenvalue at or
+        under ``wall``, or None when rho stays clear of those directions."""
+        hit = (self.eigenvalues <= wall) & (self.weights > self.support_tol)
+        return float(self.weights[hit].max()) if hit.any() else None
+
+    def cross(self) -> float:
+        """Tr(rho ln sigma) over the eigenvalues above the floor."""
+        live = self.eigenvalues > self.floor
+        return float(self.weights[live] @ np.log(self.eigenvalues[live])) if live.any() else 0.0
+
+    def gradient(self, freeze: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of sigma -> Tr(rho ln sigma) as a Hermitian matrix.
+
+        In the eigenbasis of sigma it is ``rho_t`` entrywise-scaled by the
+        divided differences of ln; it reduces to rho @ inv(sigma) whenever
+        rho and sigma commute.  The kernel x kernel block is zeroed, and so
+        are the rows and columns of eigenvectors marked in ``freeze``.
+        """
+        s, v = self.eigenvalues, self.eigenvectors
+        f = divided_difference_log(s, self.floor)
+        kernel = s <= self.floor
+        if kernel.any():
+            f[np.outer(kernel, kernel)] = 0.0
+        if freeze is not None and freeze.any():
+            f[freeze, :] = 0.0
+            f[:, freeze] = 0.0
+        return hermitianize(v @ (self.rho_t * f) @ v.conj().T)
+
+
 def dd_gradient(
     rho: np.ndarray,
     sigma: np.ndarray,
     floor: float = DEFAULT_FLOOR,
     support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> np.ndarray:
-    """Gradient of sigma -> Tr(rho ln sigma) as a Hermitian matrix.
+    """Gradient of sigma -> Tr(rho ln sigma), see :meth:`SpectralPoint.gradient`.
 
-    In the eigenbasis of sigma the gradient is rho entrywise-scaled by the
-    divided differences of ln; it reduces to rho @ inv(sigma) whenever rho
-    and sigma commute.  Requires supp(rho) inside supp(sigma): if any
-    eigenvector of sigma with eigenvalue <= floor carries rho-weight above
-    ``support_tol``, raises :class:`SupportError`.
+    Requires supp(rho) inside supp(sigma): if any eigenvector of sigma with
+    eigenvalue <= floor carries rho-weight above ``support_tol``, raises
+    :class:`SupportError`.
     """
     r = require_hermitian(rho, what="rho")
-    dec = eig_hermitian(sigma)
-    if r.shape != sigma.shape:
-        raise ValueError(f"shape mismatch: rho {r.shape}, sigma {sigma.shape}")
-    s, v = dec.eigenvalues, dec.eigenvectors
-    rho_t = v.conj().T @ r @ v
-    kernel = s <= floor
-    if kernel.any():
-        weight = float(np.max(np.real(np.diag(rho_t))[kernel]))
-        if weight > support_tol:
-            raise SupportError(
-                f"rho has weight {weight:.3e} on the null space of sigma (tol {support_tol:.1e})"
-            )
-    f = divided_difference_log(s, floor)
-    if kernel.any():
-        f[np.outer(kernel, kernel)] = 0.0
-    g = v @ (rho_t * f) @ v.conj().T
-    return hermitianize(g)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (A kron B)[(i*db+k),(j*db+l)] = A[i,j] B[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    s = require_hermitian(sigma, what="sigma")
+    if r.shape != s.shape:
+        raise ValueError(f"shape mismatch: rho {r.shape}, sigma {s.shape}")
+    point = SpectralPoint(r, s, floor, support_tol)
+    weight = point.leaks(floor)
+    if weight is not None:
+        raise SupportError(f"rho has weight {weight:.3e} on the null space of sigma (tol {support_tol:.1e})")
+    return point.gradient()
 
 
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:

@@ -26,19 +26,23 @@ import numpy as np
 from .entropy import LN2, entropy_nats, relative_entropy_nats
 from .linalg import (
     DEFAULT_FLOOR,
-    DEFAULT_SUPPORT_TOL,
     BipartiteDims,
+    SpectralPoint,
     check_square,
     dd_gradient,
     divided_difference_log,
-    eig_hermitian,
     frobenius,
     hermitianize,
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, tensor
+from .states import DensityMatrix, check_alpha
 
+# Spectral step of the first iteration.
+STEP_INIT = 1.0
+# Armijo sufficient-decrease constant and backtracking factor of the search.
+ARMIJO_C = 1e-4
+BACKTRACK_RATIO = 0.5
 STEP_FLOOR = 1e-14
 # Clamp on the Barzilai-Borwein step length.
 SPECTRAL_MIN = 1e-10
@@ -51,18 +55,15 @@ FACE_TOL = 1e-8
 # boundary, so the reported bound is evaluated where sigma is positive
 # definite.
 FINAL_MIX = 1e-9
+# Cycle budget and stopping drift of one Dykstra projection.
+DYKSTRA_ITERS = 5000
+DYKSTRA_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 200_000
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
     grad_map_tol: float = 1e-7
-    dykstra_iters: int = 5000
-    dykstra_tol: float = 1e-11
-    eig_floor: float = DEFAULT_FLOOR
 
 
 @dataclass(eq=False)
@@ -143,9 +144,7 @@ def _spectraplex_project(m: np.ndarray) -> np.ndarray:
     return (v * _simplex(w)) @ v.conj().T
 
 
-def project_ppt(
-    mat: np.ndarray, dims: BipartiteDims, cfg: OptimizerConfig | None = None
-) -> ProjectedState:
+def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     """Frobenius-nearest PPT density matrix to a Hermitian matrix.
 
     Runs Dykstra's scheme over two sets, the spectraplex S of unit-trace
@@ -154,13 +153,12 @@ def project_ppt(
     for S, the spectrum goes onto the probability simplex; the partial
     transpose is a trace-preserving Frobenius isometry, so the image is
     handled by conjugating with it.  Cycles stop when the drift of both
-    increments falls under ``cfg.dykstra_tol``.  The returned state is the
+    increments falls under DYKSTRA_TOL.  The returned state is the
     iterate on the partial-transpose side, so it is PPT and of unit trace
     to rounding; the reported residual is the positivity deficiency that
     remains on the untransposed side.  A result that used up the cycle
-    budget is returned flagged, not raised.
+    budget (DYKSTRA_ITERS cycles) is returned flagged, not raised.
     """
-    cfg = cfg or OptimizerConfig()
     x = hermitianize(np.asarray(check_square(mat), dtype=complex))
     if x.shape[0] != dims.total:
         raise ValueError(f"matrix of size {x.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
@@ -168,14 +166,14 @@ def project_ppt(
     q = np.zeros_like(x)
     converged = False
     cycles = 0
-    for cycles in range(1, cfg.dykstra_iters + 1):
+    for cycles in range(1, DYKSTRA_ITERS + 1):
         y = _spectraplex_project(x + p)
         step_p = x - y
         p += step_p
         x = partial_transpose(_spectraplex_project(partial_transpose(y + q, dims)), dims)
         step_q = y - x
         q += step_q
-        if math.hypot(frobenius(step_p), frobenius(step_q)) <= cfg.dykstra_tol:
+        if math.hypot(frobenius(step_p), frobenius(step_q)) <= DYKSTRA_TOL:
             converged = True
             break
     x = hermitianize(x)
@@ -189,32 +187,26 @@ def project_ppt(
 
 
 def _evaluate(
-    rho_mat: np.ndarray, sigma_mat: np.ndarray, c0: float, floor: float, support_tol: float
-) -> tuple[float, tuple | None]:
-    """Objective c0 - Tr(rho ln sigma) in nats, plus reusable spectral data.
+    rho_mat: np.ndarray, sigma_mat: np.ndarray, c0: float
+) -> tuple[float, SpectralPoint | None]:
+    """Objective c0 - Tr(rho ln sigma) in nats, plus the spectral point.
 
     Returns (inf, None) when rho leaks out of the support of sigma; the
     line search treats that as a rejected step rather than an error.
     """
-    w, v = np.linalg.eigh(hermitianize(sigma_mat))
-    rho_t = v.conj().T @ rho_mat @ v
-    diag = np.real(np.diag(rho_t))
+    point = SpectralPoint(rho_mat, sigma_mat)
     # A rho-supported direction pinned near the cone boundary makes the
     # gradient scale like 1/s there, which defeats the Armijo search before
     # the step floor is reached.  Treating such points as infeasible keeps
     # the iterates away from the wall; the objective headroom this costs at
     # a legitimately near-singular optimum is bounded by support_tol * |ln
     # FACE_TOL|, far below the reporting tolerances.
-    starved = (w <= FACE_TOL) & (diag > support_tol)
-    if starved.any():
+    if point.leaks(FACE_TOL) is not None:
         return math.inf, None
-    kernel = w <= floor
-    live = ~kernel
-    cross = float(diag[live] @ np.log(w[live])) if live.any() else 0.0
-    return c0 - cross, (w, v, rho_t, diag)
+    return c0 - point.cross(), point
 
 
-def _gradient_from_cache(cache: tuple, floor: float, support_tol: float) -> np.ndarray:
+def _search_gradient(point: SpectralPoint) -> np.ndarray:
     """Gradient of the objective, restricted to the active face.
 
     Directions where sigma is numerically zero and rho carries no support
@@ -222,13 +214,8 @@ def _gradient_from_cache(cache: tuple, floor: float, support_tol: float) -> np.n
     contribution is bounded by the support weight, so keeping them only
     injects noise that stalls the line search near singular optima.
     """
-    w, v, rho_t, diag = cache
-    f = divided_difference_log(w, floor)
-    frozen = (w <= FACE_TOL) & (diag <= support_tol)
-    if frozen.any():
-        f[frozen, :] = 0.0
-        f[:, frozen] = 0.0
-    return hermitianize(v @ (rho_t * f) @ v.conj().T)
+    frozen = (point.eigenvalues <= FACE_TOL) & (point.weights <= point.support_tol)
+    return point.gradient(frozen)
 
 
 def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
@@ -251,14 +238,14 @@ def minimize_rel_entropy(
 
     Spectral projected gradient from the maximally mixed state (or from
     ``initial``).  With G the gradient of Tr(rho ln sigma) and s the
-    spectral step (``cfg.step_init`` at first), each iteration projects
+    spectral step (STEP_INIT at first), each iteration projects
     once to get the direction d = P(sigma + s G) - sigma.  Its scaled norm
     ``grad_map`` = |d| / min(s, 1) bounds the unit-step gradient map
     |P(sigma + G) - sigma| from above, because |P(x + s G) - x| does not
     decrease in s while |P(x + s G) - x| / s does not increase; the run
     reports ``converged`` only when ``grad_map`` is at most
     ``cfg.grad_map_tol``.  Otherwise a nonmonotone Armijo search tries
-    sigma + t d for t = 1, ``cfg.backtrack_ratio``, ... down to STEP_FLOOR
+    sigma + t d for t = 1, BACKTRACK_RATIO, ... down to STEP_FLOOR
     against the largest of the last NONMONOTONE_MEMORY accepted values,
     and the next s is the Barzilai-Borwein ratio <ds, ds> / <ds, -dG>,
     clamped to [SPECTRAL_MIN, SPECTRAL_MAX].  There is no objective-stall
@@ -271,7 +258,7 @@ def minimize_rel_entropy(
     without changing the optimum.  Any feasible iterate gives a valid
     upper bound, so the returned value is certified from above even when
     the convergence flag is false.  A final sigma with an eigenvalue at or
-    under ``cfg.eig_floor`` is mixed with enough of I/n to outweigh any
+    under DEFAULT_FLOOR is mixed with enough of I/n to outweigh any
     negative eigenvalue (at least FINAL_MIX), which keeps it PPT, and the
     bound is the relative entropy at the mixed sigma.  Projections that
     used up their cycle budget are counted in ``capped_projections``, and
@@ -291,21 +278,21 @@ def minimize_rel_entropy(
 
     def project(mat: np.ndarray) -> np.ndarray:
         nonlocal capped, worst_residual
-        proj = project_ppt(mat, dims, cfg)
+        proj = project_ppt(mat, dims)
         capped += not proj.converged
         worst_residual = max(worst_residual, proj.residual)
         if invariance_map is None:
             return proj.state.matrix
         return invariance_map(proj.state).matrix
 
-    c0 = -entropy_nats(rho_mat, cfg.eig_floor)
+    c0 = -entropy_nats(rho_mat)
     start = np.eye(n, dtype=complex) / n if initial is None else np.asarray(initial.matrix, dtype=complex)
     sigma = project(start)
-    f_cur, cache = _evaluate(rho_mat, sigma, c0, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
-    if cache is None:
+    f_cur, point = _evaluate(rho_mat, sigma, c0)
+    if point is None:
         raise ValueError("initial iterate violates the support condition")
-    grad = _gradient_from_cache(cache, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
-    step = cfg.step_init
+    grad = _search_gradient(point)
+    step = STEP_INIT
     history = deque([f_cur], maxlen=NONMONOTONE_MEMORY)
     converged = False
     grad_map = math.inf
@@ -321,13 +308,13 @@ def minimize_rel_entropy(
         t = 1.0
         while t >= STEP_FLOOR:
             cand = sigma + t * d
-            f_new, cache_new = _evaluate(rho_mat, cand, c0, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
-            if f_new <= reference - cfg.armijo_c * t * slope:
+            f_new, point = _evaluate(rho_mat, cand, c0)
+            if f_new <= reference - ARMIJO_C * t * slope:
                 break
-            t *= cfg.backtrack_ratio
+            t *= BACKTRACK_RATIO
         else:
             break  # no acceptable step down to STEP_FLOOR: stop unconverged
-        grad_new = _gradient_from_cache(cache_new, cfg.eig_floor, DEFAULT_SUPPORT_TOL)
+        grad_new = _search_gradient(point)
         ds = t * d
         curvature = float(np.vdot(ds, grad - grad_new).real)
         step = SPECTRAL_MAX
@@ -336,9 +323,9 @@ def minimize_rel_entropy(
         sigma, f_cur, grad = cand, f_new, grad_new
         history.append(f_cur)
     low = float(np.linalg.eigvalsh(sigma)[0])
-    if low <= cfg.eig_floor:
+    if low <= DEFAULT_FLOOR:
         sigma = _mix_with_identity(sigma, low)
-        f_cur = relative_entropy_nats(rho_mat, sigma, cfg.eig_floor)
+        f_cur = relative_entropy_nats(rho_mat, sigma)
     return OptimizerResult(
         bound_bits=f_cur / LN2,
         sigma_opt=DensityMatrix(matrix=sigma, dims=dims),
@@ -366,13 +353,13 @@ def kkt_check(
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     sig_mat = hermitianize(np.asarray(sigma.matrix, dtype=complex))
-    if float(np.linalg.eigvalsh(sig_mat)[0]) <= floor:
+    point = SpectralPoint(require_hermitian(rho.matrix, what="rho"), sig_mat, floor)
+    if float(point.eigenvalues[0]) <= floor:
         raise ValueError(
             "sigma is singular: the plain certificate needs a positive definite sigma; "
             "for states supported on the diagonal pairs use kkt_check_maxcorr"
         )
-    grad = dd_gradient(rho.matrix, sig_mat, floor)
-    k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - grad
+    k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - point.gradient()
     k_gamma = partial_transpose(k_matrix, rho.dims)
     sig_gamma = partial_transpose(sig_mat, rho.dims)
     residual = frobenius(sig_gamma @ k_gamma)
@@ -394,11 +381,7 @@ def kkt_check_maxcorr(alpha: np.ndarray, tol: float = 1e-8, floor: float = DEFAU
     the scalar-route margin min_ij (1 - sqrt(a_ii a_jj) f(a_ii, a_jj)),
     whose nonnegativity is the pairwise sufficient condition.
     """
-    a = require_hermitian(np.asarray(alpha, dtype=complex), 1e-9, "alpha")
-    if abs(complex(np.trace(a)) - 1.0) > 1e-9:
-        raise ValueError(f"alpha must have unit trace, got {np.trace(a):.12g}")
-    if float(np.linalg.eigvalsh(hermitianize(a))[0]) < -1e-9:
-        raise ValueError("alpha must be positive semidefinite")
+    a = check_alpha(alpha)
     k = a.shape[0]
     d = np.clip(np.real(np.diag(a)), 0.0, None)
     n = k * k
@@ -476,10 +459,3 @@ def additivity_check(
         additive_universal=commutes and min_eig >= -tol,
         additive_self=commutes and min_eig >= -1.0 - tol,
     )
-
-
-def tensor_square_pair(
-    rho: DensityMatrix, sigma: DensityMatrix
-) -> tuple[DensityMatrix, DensityMatrix]:
-    """Convenience: (rho tensor rho, sigma tensor sigma) with joint dims."""
-    return tensor(rho, rho), tensor(sigma, sigma)

@@ -171,30 +171,35 @@ def generalized_bell_basis(group: AbelianGroup) -> np.ndarray:
     return basis
 
 
-def shift_operator(group: AbelianGroup, g: tuple[int, ...]) -> np.ndarray:
-    """Permutation X(g) with X(g)|h> = |h + g>."""
-    n = group.size
-    m = np.zeros((n, n), dtype=complex)
-    for h in group.elements():
-        shifted = tuple((hi + gi) % order for hi, gi, order in zip(h, g, group.orders))
-        m[group.index(shifted), group.index(h)] = 1.0
-    return m
+def check_probabilities(p: np.ndarray, what: str, size: int | None = None) -> np.ndarray:
+    """``p`` as a float vector, or ValueError unless it has ``size`` entries
+    (at least two when ``size`` is None) that are >= -1e-12 and sum to 1
+    within 1e-9."""
+    w = np.asarray(p, dtype=float)
+    if (w.shape != (size,)) if size else (w.ndim != 1 or w.size < 2):
+        raise ValueError(f"need {size or 'at least two'} {what}, got shape {w.shape}")
+    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{what} must form a probability vector, got {w}")
+    return w
 
 
-def phase_operator(group: AbelianGroup, a: tuple[int, ...]) -> np.ndarray:
-    """Diagonal Z(chi_a) with Z|h> = chi_a(h) |h>."""
-    diag = [group.character(a, h) for h in group.elements()]
-    return np.diag(np.asarray(diag, dtype=complex))
+def check_alpha(alpha: np.ndarray) -> np.ndarray:
+    """The coefficient matrix of a maximally correlated state, Hermitian
+    averaged, or ValueError unless it is a density matrix within 1e-9."""
+    a = require_hermitian(np.asarray(alpha, dtype=complex), 1e-9, "alpha")
+    tr = complex(np.trace(a))
+    if abs(tr.real - 1.0) > 1e-9 or abs(tr.imag) > 1e-9:
+        raise ValueError(f"alpha must have unit trace, got {tr:.12g}")
+    a = hermitianize(a)
+    if float(np.linalg.eigvalsh(a)[0]) < -1e-9:
+        raise ValueError("alpha must be positive semidefinite")
+    return a
 
 
 def bell_diagonal(p: np.ndarray) -> DensityMatrix:
     """Mixture of the four Z_2 Bell projectors with weights ``p``, ordered
     (g, chi) = (0,0), (0,1), (1,0), (1,1)."""
-    w = np.asarray(p, dtype=float)
-    if w.shape != (4,):
-        raise ValueError(f"need 4 weights, got shape {w.shape}")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must form a probability vector, got {w}")
+    w = check_probabilities(p, "weights", size=4)
     basis = generalized_bell_basis(Z2)
     m = (basis * np.clip(w, 0.0, None)) @ basis.conj().T
     return DensityMatrix(matrix=hermitianize(m), dims=BipartiteDims(2, 2))
@@ -203,26 +208,17 @@ def bell_diagonal(p: np.ndarray) -> DensityMatrix:
 def max_correlated(alpha: np.ndarray) -> DensityMatrix:
     """Maximally correlated state sum_ij alpha_ij |ii><jj| from a density
     matrix ``alpha`` on the single-party space."""
-    a = np.asarray(alpha, dtype=complex)
-    a = require_hermitian(a, 1e-9, "alpha")
+    a = check_alpha(alpha)
     k = a.shape[0]
-    if abs(np.trace(a).real - 1.0) > 1e-9 or abs(np.trace(a).imag) > 1e-9:
-        raise ValueError(f"alpha must have unit trace, got {np.trace(a):.12g}")
-    if float(np.linalg.eigvalsh(hermitianize(a))[0]) < -1e-9:
-        raise ValueError("alpha must be positive semidefinite")
     m = np.zeros((k * k, k * k), dtype=complex)
     diag_idx = np.arange(k) * (k + 1)
-    m[np.ix_(diag_idx, diag_idx)] = hermitianize(a)
+    m[np.ix_(diag_idx, diag_idx)] = a
     return DensityMatrix(matrix=m, dims=BipartiteDims(k, k))
 
 
 def pure_state(schmidt: np.ndarray) -> DensityMatrix:
     """Projector onto sum_i sqrt(schmidt_i) |ii>."""
-    p = np.asarray(schmidt, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError(f"need at least two Schmidt coefficients, got shape {p.shape}")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"Schmidt coefficients must form a probability vector, got {p}")
+    p = check_probabilities(schmidt, "Schmidt coefficients")
     k = p.size
     v = np.zeros(k * k, dtype=complex)
     v[:: k + 1] = np.sqrt(np.clip(p, 0.0, None))

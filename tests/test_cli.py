@@ -95,6 +95,30 @@ def test_bound_invalid_state_names_invariant(tmp_path):
     assert "trace invariant" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--max-iters", "-3"],
+        ["bound", "--max-iters", "0"],
+        ["bound", "--tol", "nan"],
+        ["bound", "--tol", "-1"],
+        ["bound", "--tol", "inf"],
+        ["bound", "--precision", "-2"],
+        ["kkt", "--tol", "nan"],
+        ["kkt", "--tol", "0"],
+        ["kkt", "--precision", "0"],
+    ],
+)
+def test_bad_flag_values_are_input_errors(argv, iso_file, capsys):
+    files = ["--state", iso_file] if argv[0] == "bound" else ["--rho", iso_file, "--sigma", iso_file]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *files, *argv[1:]])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert argv[1] in err
+    assert repr(argv[2]) in err
+
+
 def test_usage_error_exit_code():
     proc = run_cli("bound")
     assert proc.returncode == 1
@@ -164,3 +188,14 @@ def test_experiment_nonadditivity_csv(tmp_path):
 def test_experiment_error_paths(tmp_path):
     assert main(["experiment", "frobnicate", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["experiment", "bell_scan", "--out", str(tmp_path / "nodir" / "x.csv")]) == 1
+    assert main(["experiment", "bell_scan", "--out", str(tmp_path / "x.csv"), "--seed", "1"]) == 1
+    assert main(["experiment", "isotropic_scan", "--out", str(tmp_path / "x.csv"), "--restarts", "1"]) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_experiment_nonadditivity_restarts(tmp_path, capsys):
+    out = tmp_path / "na.csv"
+    assert main(["experiment", "nonadditivity", "--out", str(out), "--restarts", "1", "--seed", "3"]) == 0
+    assert float(grab(r"b2_spread_bits = ([-\d.eE+]+)", capsys.readouterr().out)) <= 1e-6
+    with open(out, newline="") as fh:
+        assert list(csv.DictReader(fh))[0]["converged"] == "true"

@@ -15,7 +15,7 @@ from pptbound.formulas import (
     nonadditivity_experiment,
     pure_state_bound,
 )
-from pptbound.linalg import frobenius, hermitianize, kron, partial_trace
+from pptbound.linalg import frobenius, hermitianize, partial_trace
 from pptbound.pptopt import OptimizerConfig, is_ppt, kkt_check
 from pptbound.states import bell_diagonal, isotropic, max_correlated, pure_state
 
@@ -113,7 +113,7 @@ def test_maxcorr_bound_additive_over_kron():
     rng = np.random.default_rng(28)
     a = hermitianize(random_density(rng, 2))
     b = hermitianize(random_density(rng, 2))
-    joint = maxcorr_bound(kron(a, b)).bound_bits
+    joint = maxcorr_bound(np.kron(a, b)).bound_bits
     assert joint == pytest.approx(maxcorr_bound(a).bound_bits + maxcorr_bound(b).bound_bits, abs=1e-10)
 
 

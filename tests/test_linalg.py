@@ -9,69 +9,17 @@ from hypothesis import strategies as st
 from conftest import random_definite_density, random_density, random_hermitian, random_unitary
 from pptbound.linalg import (
     BipartiteDims,
-    HermiticityError,
-    PositivityError,
+    SpectralPoint,
     SupportError,
     dd_gradient,
     divided_difference_log,
-    eig_hermitian,
-    exp_hermitian,
     frobenius,
     hermitianize,
-    kron,
-    matrix_log,
     partial_trace,
     partial_transpose,
     tensor_bipartite,
 )
 from pptbound.states import max_entangled_projector
-
-
-def test_eig_hermitian_reconstructs_1000_random():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        n = int(rng.integers(2, 17))
-        m = random_hermitian(rng, n)
-        dec = eig_hermitian(m)
-        w, v = dec.eigenvalues, dec.eigenvectors
-        assert np.all(np.diff(w) >= 0)
-        assert frobenius((v * w) @ v.conj().T - m) <= 1e-10 * max(1.0, frobenius(m))
-        assert frobenius(v.conj().T @ v - np.eye(n)) <= 1e-12
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(HermiticityError):
-        eig_hermitian(m)
-
-
-def test_exp_log_round_trip_wide_spectrum():
-    rng = np.random.default_rng(1)
-    for n in (2, 5, 9):
-        h = random_hermitian(rng, n)
-        h *= 5.0 / max(np.abs(np.linalg.eigvalsh(h)))
-        m = exp_hermitian(h)
-        assert frobenius(matrix_log(m) - h) <= 1e-8 * max(1.0, frobenius(h))
-
-
-def test_matrix_log_matches_scipy_on_definite_input():
-    rng = np.random.default_rng(2)
-    for n in (3, 6):
-        m = random_definite_density(rng, n, mix=0.2)
-        ours = matrix_log(m)
-        ref = scipy.linalg.logm(m)
-        assert frobenius(ours - ref) <= 1e-10 * max(1.0, frobenius(ref))
-
-
-def test_matrix_log_rejects_indefinite():
-    with pytest.raises(PositivityError):
-        matrix_log(np.diag([1.0, -1e-3]))
-
-
-def test_matrix_log_clamps_kernel_instead_of_diverging():
-    out = matrix_log(np.diag([1.0, 0.0]))
-    assert np.isfinite(out).all()
-    assert out[1, 1] == pytest.approx(np.log(1e-12))
 
 
 def test_divided_difference_log_separated_and_diagonal():
@@ -147,12 +95,19 @@ def test_dd_gradient_allows_shared_kernel():
     assert grad[2, 2] == 0.0
 
 
-def test_kron_mixed_product_rule():
-    rng = np.random.default_rng(5)
-    a, b, c, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert frobenius(lhs - rhs) <= 1e-12 * frobenius(rhs)
+def test_spectral_point_leak_wall_and_frozen_gradient():
+    rho = np.diag([0.6, 0.4 - 1e-6, 1e-6])
+    sigma = np.diag([0.5, 0.5 - 1e-9, 1e-9])
+    point = SpectralPoint(rho, sigma)
+    assert point.leaks(1e-12) is None
+    assert point.leaks(1e-8) == pytest.approx(1e-6)
+    assert point.cross() == pytest.approx(rho.diagonal() @ np.log(sigma.diagonal()), rel=1e-14)
+    free = point.gradient()
+    assert free[0, 0] == pytest.approx(1.2, rel=1e-12)
+    assert free[2, 2] == pytest.approx(1e3, rel=1e-6)
+    frozen = point.gradient(point.eigenvalues <= 1e-8)
+    assert frozen[2, 2] == 0.0
+    assert frobenius(frozen - np.diag([1.2, free[1, 1], 0.0])) <= 1e-12
 
 
 @given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
@@ -172,7 +127,7 @@ def test_partial_transpose_swaps_local_transpose():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     dims = BipartiteDims(2, 3)
-    assert frobenius(partial_transpose(kron(a, b), dims) - kron(a, b.T)) <= 1e-13
+    assert frobenius(partial_transpose(np.kron(a, b), dims) - np.kron(a, b.T)) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -188,7 +143,7 @@ def test_partial_trace_of_product_factorizes():
     a = random_density(rng, 2)
     b = random_density(rng, 3)
     dims = BipartiteDims(2, 3)
-    m = kron(a, b)
+    m = np.kron(a, b)
     assert frobenius(partial_trace(m, dims, "B") - a) <= 1e-13
     assert frobenius(partial_trace(m, dims, "A") - b) <= 1e-13
 

@@ -9,6 +9,7 @@ from conftest import random_definite_density, random_density, random_hermitian
 from pptbound.entropy import relative_entropy
 from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pure_state_bound
 from pptbound.linalg import BipartiteDims, frobenius, hermitianize, partial_transpose
+from pptbound import pptopt
 from pptbound.pptopt import (
     OptimizerConfig,
     _mix_with_identity,
@@ -19,7 +20,6 @@ from pptbound.pptopt import (
     kkt_check_maxcorr,
     minimize_rel_entropy,
     project_ppt,
-    tensor_square_pair,
 )
 from pptbound.states import (
     DensityMatrix,
@@ -31,6 +31,7 @@ from pptbound.states import (
     max_correlated,
     max_entangled_projector,
     pure_state,
+    tensor,
 )
 
 DIMS22 = BipartiteDims(2, 2)
@@ -115,7 +116,7 @@ def test_project_ppt_is_the_nearest_ppt_state(seed, shape):
     if not out.converged:
         # Some unit-scale inputs in 3x3 need more than the default cycle
         # budget; such a result is flagged, and only its feasible side holds.
-        assert out.cycles == OptimizerConfig().dykstra_iters
+        assert out.cycles == pptopt.DYKSTRA_ITERS
         return
     assert out.residual <= 1e-10
     products = [np.kron(random_density(rng, dims.d_a), random_density(rng, dims.d_b)) for _ in range(4)]
@@ -170,9 +171,10 @@ def test_minimize_iteration_cap_reports_nonconvergence():
     assert res.bound_bits >= isotropic_bound(2, 0.9).bound_bits - 1e-9
 
 
-def test_minimize_line_search_exhaustion_reports_nonconvergence():
+def test_minimize_line_search_exhaustion_reports_nonconvergence(monkeypatch):
     # f is convex, so no step can meet an Armijo constant above 1.
-    res = minimize_rel_entropy(isotropic(2, 0.9), OptimizerConfig(armijo_c=2.0))
+    monkeypatch.setattr(pptopt, "ARMIJO_C", 2.0)
+    res = minimize_rel_entropy(isotropic(2, 0.9))
     assert not res.converged
     assert res.iterations == 1
     assert res.bound_bits >= isotropic_bound(2, 0.9).bound_bits - 1e-9
@@ -204,8 +206,9 @@ def test_minimize_survives_dominant_weight_near_boundary():
     assert res.bound_bits == pytest.approx(bell_z2_bound(p).bound_bits, abs=1e-6)
 
 
-def test_minimize_reports_capped_projections():
-    res = minimize_rel_entropy(isotropic(2, 0.9), OptimizerConfig(dykstra_iters=1))
+def test_minimize_reports_capped_projections(monkeypatch):
+    monkeypatch.setattr(pptopt, "DYKSTRA_ITERS", 1)
+    res = minimize_rel_entropy(isotropic(2, 0.9))
     assert res.capped_projections > 0
     assert res.max_projection_residual >= 0.0
 
@@ -247,8 +250,7 @@ def test_kkt_check_passes_on_counterexample_pair():
 
 def test_kkt_check_fails_on_tensor_square():
     rho, sigma = counterexample_pair()
-    rho2, sigma2 = tensor_square_pair(rho, sigma)
-    report = kkt_check(rho2, sigma2, tol=1e-8)
+    report = kkt_check(tensor(rho, rho), tensor(sigma, sigma), tol=1e-8)
     assert not report.passed
     assert report.complementarity_residual > 1e-4
     assert report.k_gamma_min_eig < -1e-4
@@ -334,11 +336,3 @@ def test_additivity_check_universal_for_separable_diagonal():
     assert report.commutes
     assert report.additive_universal
 
-
-def test_tensor_square_pair_dims():
-    rho, sigma = counterexample_pair()
-    rho2, sigma2 = tensor_square_pair(rho, sigma)
-    assert (rho2.dims.d_a, rho2.dims.d_b) == (4, 4)
-    assert (sigma2.dims.d_a, sigma2.dims.d_b) == (4, 4)
-    rho2.validate()
-    sigma2.validate()

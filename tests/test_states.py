@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
-from pptbound.linalg import BipartiteDims, frobenius, kron, partial_trace, partial_transpose
+from pptbound.linalg import BipartiteDims, frobenius, partial_trace, partial_transpose
 from pptbound.states import (
     AbelianGroup,
     DensityMatrix,
@@ -22,12 +22,26 @@ from pptbound.states import (
     isotropic_twirl,
     max_correlated,
     max_entangled_projector,
-    phase_operator,
     phi_plus,
     pure_state,
-    shift_operator,
     tensor,
 )
+
+
+def shift_operator(group: AbelianGroup, g: tuple[int, ...]) -> np.ndarray:
+    """Permutation X(g) with X(g)|h> = |h + g>."""
+    n = group.size
+    m = np.zeros((n, n), dtype=complex)
+    for h in group.elements():
+        shifted = tuple((hi + gi) % order for hi, gi, order in zip(h, g, group.orders))
+        m[group.index(shifted), group.index(h)] = 1.0
+    return m
+
+
+def phase_operator(group: AbelianGroup, a: tuple[int, ...]) -> np.ndarray:
+    """Diagonal Z(chi_a) with Z|h> = chi_a(h) |h>."""
+    diag = [group.character(a, h) for h in group.elements()]
+    return np.diag(np.asarray(diag, dtype=complex))
 
 
 def test_validate_names_the_violated_invariant():
@@ -156,7 +170,7 @@ def test_bell_twirl_equals_group_average(orders):
     for gg in g.elements():
         for aa in g.elements():
             u = shift_operator(g, gg) @ phase_operator(g, aa)
-            w = kron(u, u.conj())
+            w = np.kron(u, u.conj())
             acc += w @ state.matrix @ w.conj().T
     acc /= g.size**2
     assert frobenius(bell_twirl(state, g).matrix - acc) <= 1e-12
@@ -232,7 +246,7 @@ def test_tensor_regroups_and_partial_traces_factor():
     assert (joint.dims.d_a, joint.dims.d_b) == (4, 6)
     joint.validate()
     left = partial_trace(joint.matrix, joint.dims, "B")
-    want = kron(partial_trace(a.matrix, a.dims, "B"), partial_trace(b.matrix, b.dims, "B"))
+    want = np.kron(partial_trace(a.matrix, a.dims, "B"), partial_trace(b.matrix, b.dims, "B"))
     assert frobenius(left - want) <= 1e-12
 
 

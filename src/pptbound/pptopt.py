@@ -8,10 +8,15 @@ runs a nonmonotone Armijo search along the segment to the projected
 point.  Every trial point on that segment is feasible by convexity, so an
 iteration costs exactly one projection.  Feasibility is kept by Dykstra's
 alternating projection over two sets: the spectraplex of unit-trace PSD
-matrices and its image under the partial transpose.  Each projection is
-one ``eigh`` plus a simplex projection of the eigenvalues, with no
-polishing step; the projected state is exact on the partial-transpose
-side and carries a reported positivity residual on the other.
+matrices and its image under the partial transpose.  Dykstra's scheme is
+proximal gradient on the dual increment of the second set, so it is run
+with FISTA momentum that restarts whenever a step turns back against the
+last move (Chambolle & Pock 2015; O'Donoghue & Candes 2015).  Each set
+projection is one ``eigh`` plus a simplex projection of the eigenvalues,
+with no polishing step; the projected state is exact on the
+partial-transpose side and carries a reported positivity residual on the
+other.  The iterates are also kept invariant under the diagonal local
+phases that fix rho.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, check_alpha
+from .states import DensityMatrix, check_alpha, phase_mask
 
 # Spectral step of the first iteration.
 STEP_INIT = 1.0
@@ -55,7 +60,8 @@ FACE_TOL = 1e-8
 # boundary, so the reported bound is evaluated where sigma is positive
 # definite.
 FINAL_MIX = 1e-9
-# Cycle budget and stopping drift of one Dykstra projection.
+# Cycle budget of one projection, and the stopping tolerance on the gap
+# between its two iterates and the move of the returned one.
 DYKSTRA_ITERS = 5000
 DYKSTRA_TOL = 1e-11
 
@@ -147,39 +153,53 @@ def _spectraplex_project(m: np.ndarray) -> np.ndarray:
 def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     """Frobenius-nearest PPT density matrix to a Hermitian matrix.
 
-    Runs Dykstra's scheme over two sets, the spectraplex S of unit-trace
-    PSD matrices and its partial-transpose image, whose intersection is the
-    PPT state set.  Each set is projected onto exactly with one ``eigh``:
-    for S, the spectrum goes onto the probability simplex; the partial
-    transpose is a trace-preserving Frobenius isometry, so the image is
-    handled by conjugating with it.  Cycles stop when the drift of both
-    increments falls under DYKSTRA_TOL.  The returned state is the
-    iterate on the partial-transpose side, so it is PPT and of unit trace
-    to rounding; the reported residual is the positivity deficiency that
-    remains on the untransposed side.  A result that used up the cycle
-    budget (DYKSTRA_ITERS cycles) is returned flagged, not raised.
+    Projects onto the intersection of two sets, the spectraplex S of
+    unit-trace PSD matrices and its partial-transpose image Gamma(S), whose
+    intersection is the PPT state set.  Each set is projected onto exactly
+    with one ``eigh``: for S, the spectrum goes onto the probability
+    simplex; the partial transpose is a trace-preserving Frobenius
+    isometry, so the image is handled by conjugating with it.
+
+    With input z, Dykstra's scheme over the two sets is proximal gradient
+    on the dual increment q of the Gamma(S) side: a = P_S(z - q), v = q + a,
+    b = P_Gamma(S)(v), q <- v - b.  Each cycle takes that step from the
+    FISTA extrapolation q + ((t - 1) / t') (q - q_prev) instead of from q
+    (Chambolle & Pock, SMAI J. Comput. Math. 1, 2015), and drops the
+    momentum (t = 1) whenever the step points back along the last move of
+    q, the gradient restart of O'Donoghue & Candes (Found. Comput. Math.
+    15, 2015).  Cycles stop when both |a - b| and the move of b since the
+    previous cycle (from z on the first) fall under DYKSTRA_TOL together,
+    so an input that is already a PPT state stops after one cycle.  The
+    returned state is b, so it is PPT and of unit trace to rounding; the
+    reported residual is the positivity deficiency that remains on the
+    untransposed side.  A result that used up the cycle budget
+    (DYKSTRA_ITERS cycles) is returned flagged, not raised.
     """
-    x = hermitianize(np.asarray(check_square(mat), dtype=complex))
-    if x.shape[0] != dims.total:
-        raise ValueError(f"matrix of size {x.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    z = hermitianize(np.asarray(check_square(mat), dtype=complex))
+    if z.shape[0] != dims.total:
+        raise ValueError(f"matrix of size {z.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
+    q = q_prev = np.zeros_like(z)
+    b = z
+    t = 1.0
     converged = False
     cycles = 0
     for cycles in range(1, DYKSTRA_ITERS + 1):
-        y = _spectraplex_project(x + p)
-        step_p = x - y
-        p += step_p
-        x = partial_transpose(_spectraplex_project(partial_transpose(y + q, dims)), dims)
-        step_q = y - x
-        q += step_q
-        if math.hypot(frobenius(step_p), frobenius(step_q)) <= DYKSTRA_TOL:
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = q + ((t - 1.0) / t_next) * (q - q_prev)
+        a = _spectraplex_project(z - y)
+        v = y + a
+        b_prev = b
+        b = partial_transpose(_spectraplex_project(partial_transpose(v, dims)), dims)
+        q_prev, q, t = q, v - b, t_next
+        if np.vdot(y - q, q - q_prev).real > 0.0:
+            q_prev, t = q, 1.0
+        if math.hypot(frobenius(a - b), frobenius(b - b_prev)) <= DYKSTRA_TOL:
             converged = True
             break
-    x = hermitianize(x)
-    residual = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+    b = hermitianize(b)
+    residual = max(0.0, -float(np.linalg.eigvalsh(b)[0]))
     return ProjectedState(
-        state=DensityMatrix(matrix=x, dims=dims),
+        state=DensityMatrix(matrix=b, dims=dims),
         converged=converged,
         residual=residual,
         cycles=cycles,
@@ -252,12 +272,16 @@ def minimize_rel_entropy(
     stop: a search that finds no acceptable step ends the run unconverged
     at the last accepted sigma, as does the iteration cap.
 
-    When ``invariance_map`` is given (a twirl fixing rho), every projected
-    point is passed through it; segments between invariant points stay
-    invariant, so the search is restricted to the invariant family
-    without changing the optimum.  Any feasible iterate gives a valid
-    upper bound, so the returned value is certified from above even when
-    the convergence flag is false.  A final sigma with an eigenvalue at or
+    Every projected point is passed through ``invariance_map`` when one is
+    given (a twirl fixing rho), and then through the diagonal-phase twirl
+    of rho (:func:`~pptbound.states.phase_mask`), which zeroes the entries
+    that a torus of local phases fixing rho averages away.  Segments
+    between invariant points stay invariant, so the search is restricted
+    to the invariant family without changing the optimum; on a degenerate
+    face this keeps the iterate off the directions rho does not couple to,
+    where the support wall would otherwise stall the search.  Any feasible
+    iterate gives a valid upper bound, so the returned value is certified
+    from above even when the convergence flag is false.  A final sigma with an eigenvalue at or
     under DEFAULT_FLOOR is mixed with enough of I/n to outweigh any
     negative eigenvalue (at least FINAL_MIX), which keeps it PPT, and the
     bound is the relative entropy at the mixed sigma.  Projections that
@@ -273,6 +297,7 @@ def minimize_rel_entropy(
             bound_bits=0.0, sigma_opt=rho, iterations=0, converged=True, final_grad_map_norm=0.0
         )
     n = dims.total
+    mask = phase_mask(rho)
     capped = 0
     worst_residual = 0.0
 
@@ -281,9 +306,8 @@ def minimize_rel_entropy(
         proj = project_ppt(mat, dims)
         capped += not proj.converged
         worst_residual = max(worst_residual, proj.residual)
-        if invariance_map is None:
-            return proj.state.matrix
-        return invariance_map(proj.state).matrix
+        state = proj.state if invariance_map is None else invariance_map(proj.state)
+        return state.matrix * mask
 
     c0 = -entropy_nats(rho_mat)
     start = np.eye(n, dtype=complex) / n if initial is None else np.asarray(initial.matrix, dtype=complex)

@@ -16,6 +16,7 @@ from pptbound.formulas import (
     pure_state_bound,
 )
 from pptbound.linalg import frobenius, hermitianize, partial_trace
+from pptbound import pptopt
 from pptbound.pptopt import OptimizerConfig, is_ppt, kkt_check
 from pptbound.states import bell_diagonal, isotropic, max_correlated, pure_state
 
@@ -143,6 +144,20 @@ def test_two_copy_solve_stops_on_certificate():
     assert rep.optimizer.converged
     assert rep.optimizer.final_grad_map_norm <= 1e-9
     assert rep.optimizer.iterations <= 100
+
+
+def test_two_copy_solve_projection_cycles(monkeypatch):
+    cycles = []
+    project = pptopt.project_ppt
+
+    def counted(mat, dims):
+        out = project(mat, dims)
+        cycles.append(out.cycles)
+        return out
+
+    monkeypatch.setattr(pptopt, "project_ppt", counted)
+    nonadditivity_experiment(EXPERIMENT_CONFIG)
+    assert sum(cycles) <= 250
 
 
 def test_nonadditivity_experiment_report():

@@ -124,6 +124,26 @@ def test_project_ppt_is_the_nearest_ppt_state(seed, shape):
         assert np.vdot(x - p, y - p).real <= 1e-9
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_project_ppt_converges_on_random_inputs(shape):
+    # Seven of these sixty unit-scale inputs take plain, unaccelerated
+    # Dykstra past its 5,000-cycle budget.
+    dims = BipartiteDims(*shape)
+    n = dims.total
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, n)
+        out = project_ppt(x, dims)
+        p = out.state.matrix
+        assert out.converged
+        assert out.residual <= 1e-10
+        assert abs(np.trace(p) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(partial_transpose(p, dims))[0] >= -1e-12
+        products = [np.kron(random_density(rng, dims.d_a), random_density(rng, dims.d_b)) for _ in range(4)]
+        for y in products + [np.eye(n) / n]:
+            assert np.vdot(x - p, y - p).real <= 1e-9
+
+
 def test_minimize_returns_zero_for_ppt_input():
     rho = isotropic(2, 0.4)
     res = minimize_rel_entropy(rho)
@@ -223,6 +243,16 @@ def test_minimize_bound_not_below_optimum_on_singular_sigma():
     assert res.bound_bits == pytest.approx(relative_entropy(rho, res.sigma_opt), abs=1e-12)
     assert np.linalg.eigvalsh(res.sigma_opt.matrix)[0] > 0.0
     assert is_ppt(res.sigma_opt).ok
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
+def test_minimize_degenerate_pure_states_converge(p):
+    # Without the diagonal-phase twirl the iterate drifts onto directions
+    # rho does not couple to, and the support wall stalls the search there.
+    p = np.array(p)
+    res = minimize_rel_entropy(pure_state(p))
+    assert res.converged
+    assert pure_state_bound(p).bound_bits <= res.bound_bits <= pure_state_bound(p).bound_bits + 1e-8
 
 
 def test_final_mix_outweighs_negative_eigenvalue():

@@ -22,6 +22,7 @@ from pptbound.states import (
     isotropic_twirl,
     max_correlated,
     max_entangled_projector,
+    phase_mask,
     phi_plus,
     pure_state,
     tensor,
@@ -258,3 +259,39 @@ def test_bell_twirl_preserves_trace_and_positivity(seed):
     out = bell_twirl(state)
     assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
+
+
+def test_phase_mask_keeps_exactly_the_charges_fixed_by_rho():
+    rho, _ = counterexample_pair()
+    rng = np.random.default_rng(26)
+    cases = [
+        (pure_state([0.5, 0.3, 0.2]), 15),
+        (isotropic(3, 0.7), 15),
+        (rho, 6),
+        (tensor(rho, rho), 36),
+        (bell_diagonal([0.7, 0.1, 0.15, 0.05]), 16),
+        (density_matrix(random_density(rng, 9), BipartiteDims(3, 3)), 81),
+    ]
+    for state, kept in cases:
+        dims = state.dims
+        mask = phase_mask(state)
+        assert mask.sum() == kept
+        assert np.array_equal(state.matrix * mask, state.matrix)
+        # Charges (e_a - e_a', e_b - e_b') of every entry; the torus of
+        # local phases fixing rho is the null space of its support charges.
+        a, b = np.divmod(np.arange(dims.total), dims.d_b)
+        nodes = np.hstack([np.eye(dims.d_a)[a], np.eye(dims.d_b)[b]])
+        charges = nodes[:, None, :] - nodes[None, :, :]
+        support = charges[state.matrix != 0]
+        _, sv, vt = np.linalg.svd(support)
+        torus = vt[np.count_nonzero(sv > 1e-9) :].T
+        turn = np.abs(charges @ (torus @ rng.standard_normal(torus.shape[1])))
+        assert (turn[mask] <= 1e-12).all()
+        assert (turn[~mask] >= 1e-6).all()
+        # Masking keeps principal blocks on both sides of the partial
+        # transpose, so the trace stays and neither least eigenvalue drops.
+        sigma = random_density(rng, dims.total)
+        masked = sigma * mask
+        assert np.trace(masked) == np.trace(sigma)
+        for side in (lambda m: m, lambda m: partial_transpose(m, dims)):
+            assert np.linalg.eigvalsh(side(masked))[0] >= np.linalg.eigvalsh(side(sigma))[0] - 1e-12

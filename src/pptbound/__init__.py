@@ -6,7 +6,7 @@ conditions, and cross-checks everything against the families whose bound
 is known in closed form.
 """
 
-from .entropy import fidelity, relative_entropy, shannon_entropy, von_neumann_entropy
+from .entropy import relative_entropy, shannon_entropy, von_neumann_entropy
 from .formulas import (
     ClosedFormResult,
     NonadditivityReport,
@@ -40,18 +40,12 @@ from .pptopt import (
 )
 from .statespec import StateSpecError, load_state, save_state, spec_to_state, state_to_spec
 from .states import (
-    AbelianGroup,
-    BellLabel,
     DensityMatrix,
-    Z2,
     bell_diagonal,
-    bell_labels,
     bell_twirl,
     counterexample_pair,
     density_matrix,
-    generalized_bell_basis,
     isotropic,
-    isotropic_twirl,
     max_correlated,
     pure_state,
     tensor,
@@ -60,9 +54,7 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup",
     "AdditivityReport",
-    "BellLabel",
     "BipartiteDims",
     "ClosedFormResult",
     "DensityMatrix",
@@ -75,21 +67,16 @@ __all__ = [
     "ProjectedState",
     "StateSpecError",
     "SupportError",
-    "Z2",
     "additivity_check",
     "bell_diagonal",
-    "bell_labels",
     "bell_twirl",
     "bell_z2_bound",
     "counterexample_pair",
     "dd_gradient",
     "density_matrix",
-    "fidelity",
-    "generalized_bell_basis",
     "is_ppt",
     "isotropic",
     "isotropic_bound",
-    "isotropic_twirl",
     "kkt_check",
     "kkt_check_maxcorr",
     "load_state",

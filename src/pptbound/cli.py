@@ -18,11 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import fidelity
 from .formulas import bell_z2_bound, isotropic_bound, nonadditivity_experiment
 from .pptopt import OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy
 from .statespec import StateSpecError, load_state
-from .states import bell_diagonal, isotropic, tensor
+from .states import bell_diagonal, entanglement_fidelity, isotropic, tensor
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -99,7 +98,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     eigs = np.linalg.eigvalsh(result.sigma_opt.matrix)
     print("sigma_opt eigenvalues: " + " ".join(_fmt(v, p) for v in eigs))
     if d.d_a == d.d_b:
-        print(f"sigma_opt entanglement fidelity = {_fmt(fidelity(result.sigma_opt), p)}")
+        fid = entanglement_fidelity(result.sigma_opt.matrix, d.d_a)
+        print(f"sigma_opt entanglement fidelity = {_fmt(fid, p)}")
     if args.out is not None:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

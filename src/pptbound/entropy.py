@@ -11,71 +11,55 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_FLOOR, DEFAULT_SUPPORT_TOL, SpectralPoint, hermitianize, require_hermitian
-from .states import DensityMatrix, entanglement_fidelity
+from .linalg import DEFAULT_FLOOR, SpectralPoint, hermitianize, require_hermitian
+from .states import DensityMatrix
 
 LN2 = math.log(2.0)
 
 
-def fidelity(sigma: DensityMatrix) -> float:
-    """Entanglement fidelity <phi_plus| sigma |phi_plus>."""
-    k = sigma.dims.d_a
-    if sigma.dims.d_b != k:
-        raise ValueError("fidelity is defined for equal local dimensions")
-    return entanglement_fidelity(sigma.matrix, k)
-
-
-def shannon_entropy(p: np.ndarray, floor: float = DEFAULT_FLOOR) -> float:
-    """Entropy of a probability vector in bits; weights <= floor are skipped."""
+def shannon_entropy(p: np.ndarray) -> float:
+    """Entropy of a probability vector in bits; weights <= DEFAULT_FLOOR are
+    skipped."""
     w = np.asarray(p, dtype=float)
-    w = w[w > floor]
+    w = w[w > DEFAULT_FLOOR]
     if w.size == 0:
         return 0.0
     return max(0.0, float(-(w @ np.log(w)) / LN2))
 
 
-def von_neumann_entropy(rho: DensityMatrix, floor: float = DEFAULT_FLOOR) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), clamped at zero."""
-    return max(0.0, entropy_nats(rho.matrix, floor) / LN2)
+    return max(0.0, entropy_nats(rho.matrix) / LN2)
 
 
-def entropy_nats(rho_mat: np.ndarray, floor: float = DEFAULT_FLOOR) -> float:
+def entropy_nats(rho_mat: np.ndarray) -> float:
     """-Tr(rho ln rho) of a positive semidefinite matrix."""
     w = np.linalg.eigvalsh(hermitianize(require_hermitian(rho_mat, what="rho")))
-    w = w[w > floor]
+    w = w[w > DEFAULT_FLOOR]
     if w.size == 0:
         return 0.0
     return float(-(w @ np.log(w)))
 
 
-def relative_entropy_nats(
-    rho_mat: np.ndarray,
-    sigma_mat: np.ndarray,
-    floor: float = DEFAULT_FLOOR,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> float:
+def relative_entropy_nats(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
     """S(rho||sigma) in nats; +inf when rho leaves the support of sigma.
 
     The support test is on the eigenvectors of sigma: any direction with
-    eigenvalue <= floor carrying rho-weight above ``support_tol`` makes the
-    divergence infinite.  Directions below both cutoffs are skipped.
+    eigenvalue <= DEFAULT_FLOOR carrying rho-weight above
+    DEFAULT_SUPPORT_TOL makes the divergence infinite.  Directions below
+    both cutoffs are skipped.
     """
     if rho_mat.shape != sigma_mat.shape:
         raise ValueError(f"shape mismatch: rho {rho_mat.shape}, sigma {sigma_mat.shape}")
-    point = SpectralPoint(rho_mat, require_hermitian(sigma_mat, what="sigma"), floor, support_tol)
-    if point.leaks(floor) is not None:
+    point = SpectralPoint(rho_mat, require_hermitian(sigma_mat, what="sigma"))
+    if point.leaks(DEFAULT_FLOOR) is not None:
         return math.inf
-    return -entropy_nats(rho_mat, floor) - point.cross()
+    return -entropy_nats(rho_mat) - point.cross()
 
 
-def relative_entropy(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    floor: float = DEFAULT_FLOOR,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Relative entropy S(rho||sigma) = Tr rho (log2 rho - log2 sigma) in bits."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    value = relative_entropy_nats(rho.matrix, sigma.matrix, floor, support_tol)
+    value = relative_entropy_nats(rho.matrix, sigma.matrix)
     return value if math.isinf(value) else value / LN2

@@ -65,14 +65,15 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "
     return a
 
 
-def divided_difference_log(s: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Table of first divided differences of ln over the clamped values ``s``.
+def divided_difference_log(s: np.ndarray) -> np.ndarray:
+    """Table of first divided differences of ln over the values ``s``,
+    clamped below at DEFAULT_FLOOR.
 
     Entry (i, j) is (ln s_i - ln s_j) / (s_i - s_j), with the diagonal limit
     1 / s_i.  Evaluated through atanh of the relative gap, which is accurate
     for coincident and for widely separated values alike.
     """
-    sc = np.maximum(np.asarray(s, dtype=float), floor)
+    sc = np.maximum(np.asarray(s, dtype=float), DEFAULT_FLOOR)
     avg = (sc[:, None] + sc[None, :]) / 2.0
     r = (sc[:, None] - sc[None, :]) / (2.0 * avg)
     ratio = np.ones_like(r)
@@ -87,33 +88,25 @@ class SpectralPoint:
 
     Holds the ascending eigenvalues and eigenvectors V of sigma, ``rho_t``
     = V^dag rho V and the rho-weights, the real diagonal of ``rho_t``.
-    Eigenvalues at or under ``floor`` form the kernel.  Nothing is
+    Eigenvalues at or under DEFAULT_FLOOR form the kernel.  Nothing is
     validated here; callers that take outside input check it first.
     """
 
-    def __init__(
-        self,
-        rho: np.ndarray,
-        sigma: np.ndarray,
-        floor: float = DEFAULT_FLOOR,
-        support_tol: float = DEFAULT_SUPPORT_TOL,
-    ) -> None:
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray) -> None:
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(hermitianize(sigma))
         v = self.eigenvectors
         self.rho_t = v.conj().T @ rho @ v
         self.weights = np.real(np.diag(self.rho_t))
-        self.floor = floor
-        self.support_tol = support_tol
 
     def leaks(self, wall: float) -> float | None:
-        """Largest rho-weight above ``support_tol`` on an eigenvalue at or
-        under ``wall``, or None when rho stays clear of those directions."""
-        hit = (self.eigenvalues <= wall) & (self.weights > self.support_tol)
+        """Largest rho-weight above DEFAULT_SUPPORT_TOL on an eigenvalue at
+        or under ``wall``, or None when rho stays clear of those directions."""
+        hit = (self.eigenvalues <= wall) & (self.weights > DEFAULT_SUPPORT_TOL)
         return float(self.weights[hit].max()) if hit.any() else None
 
     def cross(self) -> float:
-        """Tr(rho ln sigma) over the eigenvalues above the floor."""
-        live = self.eigenvalues > self.floor
+        """Tr(rho ln sigma) over the eigenvalues above DEFAULT_FLOOR."""
+        live = self.eigenvalues > DEFAULT_FLOOR
         return float(self.weights[live] @ np.log(self.eigenvalues[live])) if live.any() else 0.0
 
     def gradient(self, freeze: np.ndarray | None = None) -> np.ndarray:
@@ -125,8 +118,8 @@ class SpectralPoint:
         are the rows and columns of eigenvectors marked in ``freeze``.
         """
         s, v = self.eigenvalues, self.eigenvectors
-        f = divided_difference_log(s, self.floor)
-        kernel = s <= self.floor
+        f = divided_difference_log(s)
+        kernel = s <= DEFAULT_FLOOR
         if kernel.any():
             f[np.outer(kernel, kernel)] = 0.0
         if freeze is not None and freeze.any():
@@ -135,26 +128,23 @@ class SpectralPoint:
         return hermitianize(v @ (self.rho_t * f) @ v.conj().T)
 
 
-def dd_gradient(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    floor: float = DEFAULT_FLOOR,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> np.ndarray:
+def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gradient of sigma -> Tr(rho ln sigma), see :meth:`SpectralPoint.gradient`.
 
     Requires supp(rho) inside supp(sigma): if any eigenvector of sigma with
-    eigenvalue <= floor carries rho-weight above ``support_tol``, raises
-    :class:`SupportError`.
+    eigenvalue <= DEFAULT_FLOOR carries rho-weight above
+    DEFAULT_SUPPORT_TOL, raises :class:`SupportError`.
     """
     r = require_hermitian(rho, what="rho")
     s = require_hermitian(sigma, what="sigma")
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch: rho {r.shape}, sigma {s.shape}")
-    point = SpectralPoint(r, s, floor, support_tol)
-    weight = point.leaks(floor)
+    point = SpectralPoint(r, s)
+    weight = point.leaks(DEFAULT_FLOOR)
     if weight is not None:
-        raise SupportError(f"rho has weight {weight:.3e} on the null space of sigma (tol {support_tol:.1e})")
+        raise SupportError(
+            f"rho has weight {weight:.3e} on the null space of sigma (tol {DEFAULT_SUPPORT_TOL:.1e})"
+        )
     return point.gradient()
 
 

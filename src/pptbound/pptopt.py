@@ -31,6 +31,7 @@ import numpy as np
 from .entropy import LN2, entropy_nats, relative_entropy_nats
 from .linalg import (
     DEFAULT_FLOOR,
+    DEFAULT_SUPPORT_TOL,
     BipartiteDims,
     SpectralPoint,
     check_square,
@@ -55,6 +56,13 @@ SPECTRAL_MAX = 1e10
 # The nonmonotone Armijo search compares against the largest of the last
 # this many accepted objective values.
 NONMONOTONE_MEMORY = 10
+# Eigenvalues of sigma at or under FACE_TOL form the face the search keeps
+# clear of: _evaluate rejects trial points where rho leaks onto them, and
+# _search_gradient freezes the ones rho does not touch.  It stays above
+# DEFAULT_FLOOR: at DEFAULT_FLOOR, random 3x3 pure states take 142-774
+# iterations with up to 196 capped projections (46-128 with at most 4 at
+# 1e-8), and without the freeze random 2x2 pure states take up to 498
+# iterations instead of 12-15.
 FACE_TOL = 1e-8
 # Least weight of I/n mixed into a final sigma that touches the cone
 # boundary, so the reported bound is evaluated where sigma is positive
@@ -219,8 +227,8 @@ def _evaluate(
     # gradient scale like 1/s there, which defeats the Armijo search before
     # the step floor is reached.  Treating such points as infeasible keeps
     # the iterates away from the wall; the objective headroom this costs at
-    # a legitimately near-singular optimum is bounded by support_tol * |ln
-    # FACE_TOL|, far below the reporting tolerances.
+    # a legitimately near-singular optimum is bounded by DEFAULT_SUPPORT_TOL
+    # * |ln FACE_TOL|, far below the reporting tolerances.
     if point.leaks(FACE_TOL) is not None:
         return math.inf, None
     return c0 - point.cross(), point
@@ -234,7 +242,7 @@ def _search_gradient(point: SpectralPoint) -> np.ndarray:
     contribution is bounded by the support weight, so keeping them only
     injects noise that stalls the line search near singular optima.
     """
-    frozen = (point.eigenvalues <= FACE_TOL) & (point.weights <= point.support_tol)
+    frozen = (point.eigenvalues <= FACE_TOL) & (point.weights <= DEFAULT_SUPPORT_TOL)
     return point.gradient(frozen)
 
 
@@ -361,12 +369,7 @@ def minimize_rel_entropy(
     )
 
 
-def kkt_check(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    tol: float = 1e-8,
-    floor: float = DEFAULT_FLOOR,
-) -> KktReport:
+def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-8) -> KktReport:
     """Optimality certificate for a positive definite PPT candidate sigma.
 
     Builds K = 1 - grad(Tr rho ln sigma) and passes iff the partial
@@ -377,8 +380,8 @@ def kkt_check(
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     sig_mat = hermitianize(np.asarray(sigma.matrix, dtype=complex))
-    point = SpectralPoint(require_hermitian(rho.matrix, what="rho"), sig_mat, floor)
-    if float(point.eigenvalues[0]) <= floor:
+    point = SpectralPoint(require_hermitian(rho.matrix, what="rho"), sig_mat)
+    if float(point.eigenvalues[0]) <= DEFAULT_FLOOR:
         raise ValueError(
             "sigma is singular: the plain certificate needs a positive definite sigma; "
             "for states supported on the diagonal pairs use kkt_check_maxcorr"
@@ -396,7 +399,7 @@ def kkt_check(
     )
 
 
-def kkt_check_maxcorr(alpha: np.ndarray, tol: float = 1e-8, floor: float = DEFAULT_FLOOR) -> KktReport:
+def kkt_check_maxcorr(alpha: np.ndarray, tol: float = 1e-8) -> KktReport:
     """Structured certificate for maximally correlated rho built from alpha.
 
     The candidate sigma keeps only the diagonal weights alpha_ii on |ii>.
@@ -409,8 +412,8 @@ def kkt_check_maxcorr(alpha: np.ndarray, tol: float = 1e-8, floor: float = DEFAU
     k = a.shape[0]
     d = np.clip(np.real(np.diag(a)), 0.0, None)
     n = k * k
-    f = divided_difference_log(d, floor)
-    live = d > floor
+    f = divided_difference_log(d)
+    live = d > DEFAULT_FLOOR
     live_pair = np.outer(live, live)
     off = ~np.eye(k, dtype=bool)
 

@@ -1,4 +1,4 @@
-"""Bipartite state families, group twirls, and the non-additivity pair.
+"""Bipartite state families, the Bell twirl, and the non-additivity pair.
 
 Constructors return :class:`DensityMatrix` values that already satisfy the
 trace, Hermiticity, and positivity invariants.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iterproduct
 
 import numpy as np
 
@@ -101,74 +100,11 @@ def isotropic(k: int, f: float) -> DensityMatrix:
     return DensityMatrix(matrix=m, dims=BipartiteDims(k, k))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finite abelian group as a product of cyclic factors Z_n1 x ... x Z_nk."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.orders or any(n < 1 for n in self.orders):
-            raise ValueError(f"cyclic orders must be positive, got {self.orders}")
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.orders)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All group elements in lexicographic order."""
-        return list(iterproduct(*(range(n) for n in self.orders)))
-
-    def index(self, g: tuple[int, ...]) -> int:
-        idx = 0
-        for gi, n in zip(g, self.orders):
-            idx = idx * n + (gi % n)
-        return idx
-
-    def subtract(self, g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((gi - hi) % n for gi, hi, n in zip(g, h, self.orders))
-
-    def character(self, a: tuple[int, ...], h: tuple[int, ...]) -> complex:
-        """Character chi_a evaluated at h: exp(2 pi i sum_j a_j h_j / n_j)."""
-        phase = sum(aj * hj / n for aj, hj, n in zip(a, h, self.orders))
-        return complex(np.exp(2j * math.pi * phase))
-
-
-@dataclass(frozen=True)
-class BellLabel:
-    """Label (g, chi) of a generalized Bell vector: a shift g and a character
-    exponent tuple chi, both componentwise residues for the group orders."""
-
-    g: tuple[int, ...]
-    chi: tuple[int, ...]
-
-
-Z2 = AbelianGroup((2,))
-
-
-def bell_labels(group: AbelianGroup) -> list[BellLabel]:
-    """Labels in the lexicographic (g, chi) order used by the basis."""
-    els = group.elements()
-    return [BellLabel(g=g, chi=a) for g in els for a in els]
-
-
-def generalized_bell_basis(group: AbelianGroup) -> np.ndarray:
-    """Orthonormal Bell basis for a |G| x |G| system, one column per label.
-
-    Column (g, chi) is (1/sqrt|G|) sum_h conj(chi(h)) |h, h - g>, with
-    columns ordered as in :func:`bell_labels`.
-    """
-    n = group.size
-    els = group.elements()
-    basis = np.zeros((n * n, n * n), dtype=complex)
-    col = 0
-    for g in els:
-        for a in els:
-            for h in els:
-                row = group.index(h) * n + group.index(group.subtract(h, g))
-                basis[row, col] = np.conj(group.character(a, h)) / math.sqrt(n)
-            col += 1
-    return basis
+# Columns (|00> + |11>, |00> - |11>, |01> + |10>, |01> - |10>) / sqrt 2.
+BELL_BASIS = np.array(
+    [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]],
+    dtype=complex,
+) / math.sqrt(2.0)
 
 
 def check_probabilities(p: np.ndarray, what: str, size: int | None = None) -> np.ndarray:
@@ -197,11 +133,10 @@ def check_alpha(alpha: np.ndarray) -> np.ndarray:
 
 
 def bell_diagonal(p: np.ndarray) -> DensityMatrix:
-    """Mixture of the four Z_2 Bell projectors with weights ``p``, ordered
-    (g, chi) = (0,0), (0,1), (1,0), (1,1)."""
+    """Mixture of the four two-qubit Bell projectors with weights ``p``, in
+    the column order of BELL_BASIS."""
     w = check_probabilities(p, "weights", size=4)
-    basis = generalized_bell_basis(Z2)
-    m = (basis * np.clip(w, 0.0, None)) @ basis.conj().T
+    m = (BELL_BASIS * np.clip(w, 0.0, None)) @ BELL_BASIS.conj().T
     return DensityMatrix(matrix=hermitianize(m), dims=BipartiteDims(2, 2))
 
 
@@ -261,27 +196,13 @@ def counterexample_pair() -> tuple[DensityMatrix, DensityMatrix]:
     return DensityMatrix(matrix=rho, dims=dims), DensityMatrix(matrix=sigma, dims=dims)
 
 
-def isotropic_twirl(state: DensityMatrix) -> DensityMatrix:
-    """Project onto the isotropic family, preserving entanglement fidelity."""
-    k = state.dims.d_a
-    if state.dims.d_b != k:
-        raise ValueError("isotropic twirl needs equal local dimensions")
-    f = entanglement_fidelity(state.matrix, k)
-    f = min(max(f, 0.0), 1.0)
-    return isotropic(k, f)
-
-
-def bell_twirl(state: DensityMatrix, group: AbelianGroup = Z2) -> DensityMatrix:
-    """Pinch to the generalized-Bell-diagonal algebra of ``group``."""
-    n = group.size
-    if state.dims.d_a != n or state.dims.d_b != n:
-        raise ValueError(
-            f"bell twirl for group of size {n} needs dims {n}x{n}, got "
-            f"{state.dims.d_a}x{state.dims.d_b}"
-        )
-    basis = generalized_bell_basis(group)
-    weights = np.real(np.einsum("ik,ij,jk->k", basis.conj(), state.matrix, basis))
-    m = (basis * weights) @ basis.conj().T
+def bell_twirl(state: DensityMatrix) -> DensityMatrix:
+    """Pinch a two-qubit state to the Bell-diagonal algebra: the average of
+    U x conj(U) rho (U x conj(U))^dag over the Paulis U in {I, X, Z, XZ}."""
+    if (state.dims.d_a, state.dims.d_b) != (2, 2):
+        raise ValueError(f"bell twirl needs dims 2x2, got {state.dims.d_a}x{state.dims.d_b}")
+    weights = np.real(np.einsum("ik,ij,jk->k", BELL_BASIS.conj(), state.matrix, BELL_BASIS))
+    m = (BELL_BASIS * weights) @ BELL_BASIS.conj().T
     return DensityMatrix(matrix=hermitianize(m), dims=state.dims)
 
 

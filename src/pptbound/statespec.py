@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import BipartiteDims, HermiticityError, hermitianize, require_hermitian
+from .linalg import BipartiteDims, HermiticityError, hermitianize
 from .states import (
     EIG_TOL,
     TRACE_TOL,
@@ -110,18 +110,14 @@ def _explicit_state(spec: dict) -> DensityMatrix:
         raise StateSpecError(
             f"matrix is {m.shape[0]}x{m.shape[0]} but dims {d_a}x{d_b} require {d_a * d_b}"
         )
-    try:
-        require_hermitian(m, FILE_TOL, "matrix")
-    except HermiticityError as exc:
-        raise StateSpecError(f"hermiticity invariant violated: {exc}") from exc
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > FILE_TOL:
-        raise StateSpecError(f"trace invariant violated: trace = {tr.real:.12g}{tr.imag:+.3g}j")
-    low = float(np.linalg.eigvalsh(hermitianize(m))[0])
-    if low < -FILE_TOL:
-        raise StateSpecError(f"positivity invariant violated: min eigenvalue = {low:.3e}")
     dims = BipartiteDims(int(d_a), int(d_b))
     candidate = DensityMatrix(matrix=m, dims=dims)
+    try:
+        candidate.validate(FILE_TOL, FILE_TOL, FILE_TOL)
+    except HermiticityError as exc:
+        raise StateSpecError(f"hermiticity invariant violated: {exc}") from exc
+    except ValueError as exc:
+        raise StateSpecError(str(exc)) from exc
     try:
         candidate.validate()
     except ValueError:
@@ -131,7 +127,7 @@ def _explicit_state(spec: dict) -> DensityMatrix:
         # so a dump/load cycle is bit-exact.
         return candidate
     m = hermitianize(m)
-    if low < -EIG_TOL:
+    if float(np.linalg.eigvalsh(m)[0]) < -EIG_TOL:
         w, v = np.linalg.eigh(m)
         m = hermitianize((v * np.clip(w, 0.0, None)) @ v.conj().T)
     tr_real = float(np.trace(m).real)

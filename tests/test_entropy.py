@@ -1,4 +1,4 @@
-"""Entropies in bits, relative entropy with its support convention, and fidelity."""
+"""Entropies in bits, relative entropy with its support convention, and entanglement fidelity."""
 
 import math
 
@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density
 from pptbound.entropy import (
-    fidelity,
     relative_entropy,
     relative_entropy_nats,
     shannon_entropy,
     von_neumann_entropy,
 )
 from pptbound.linalg import BipartiteDims
-from pptbound.states import DensityMatrix, density_matrix, isotropic, pure_state
+from pptbound.states import DensityMatrix, entanglement_fidelity, isotropic, pure_state
 
 
 def _dm(matrix, d_a, d_b):
@@ -120,11 +119,4 @@ def test_relative_entropy_jointly_convex_spot():
 
 @pytest.mark.parametrize("k,f", [(2, 0.3), (2, 0.9), (3, 0.5)])
 def test_fidelity_reads_back_isotropic_parameter(k, f):
-    assert fidelity(isotropic(k, f)) == pytest.approx(f, abs=1e-12)
-
-
-def test_fidelity_requires_square_bipartition():
-    rng = np.random.default_rng(16)
-    state = density_matrix(random_density(rng, 6), BipartiteDims(2, 3))
-    with pytest.raises(ValueError):
-        fidelity(state)
+    assert entanglement_fidelity(isotropic(k, f).matrix, k) == pytest.approx(f, abs=1e-12)

@@ -1,4 +1,4 @@
-"""State families, the group machinery behind the Bell basis, and twirls."""
+"""State families, the two-qubit Bell basis, and twirls."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_density
 from pptbound.linalg import BipartiteDims, frobenius, partial_trace, partial_transpose
 from pptbound.states import (
-    AbelianGroup,
+    BELL_BASIS,
     DensityMatrix,
-    Z2,
     bell_diagonal,
-    bell_labels,
     bell_twirl,
     counterexample_pair,
     density_matrix,
     entanglement_fidelity,
-    generalized_bell_basis,
     isotropic,
-    isotropic_twirl,
     max_correlated,
     max_entangled_projector,
     phase_mask,
@@ -27,22 +23,6 @@ from pptbound.states import (
     pure_state,
     tensor,
 )
-
-
-def shift_operator(group: AbelianGroup, g: tuple[int, ...]) -> np.ndarray:
-    """Permutation X(g) with X(g)|h> = |h + g>."""
-    n = group.size
-    m = np.zeros((n, n), dtype=complex)
-    for h in group.elements():
-        shifted = tuple((hi + gi) % order for hi, gi, order in zip(h, g, group.orders))
-        m[group.index(shifted), group.index(h)] = 1.0
-    return m
-
-
-def phase_operator(group: AbelianGroup, a: tuple[int, ...]) -> np.ndarray:
-    """Diagonal Z(chi_a) with Z|h> = chi_a(h) |h>."""
-    diag = [group.character(a, h) for h in group.elements()]
-    return np.diag(np.asarray(diag, dtype=complex))
 
 
 def test_validate_names_the_violated_invariant():
@@ -90,65 +70,26 @@ def test_isotropic_rejects_bad_fidelity():
         isotropic(2, -0.1)
 
 
-def test_abelian_group_structure():
-    g = AbelianGroup((2, 3))
-    assert g.size == 6
-    els = g.elements()
-    assert len(els) == 6
-    assert els[0] == (0, 0)
-    for a in els:
-        for b in els:
-            diff = g.subtract(a, b)
-            assert els[g.index(diff)] == diff
-
-
-def test_character_orthogonality():
-    g = AbelianGroup((2, 2))
-    els = g.elements()
-    for a in els:
-        for b in els:
-            total = sum(g.character(a, h) * np.conj(g.character(b, h)) for h in els)
-            want = g.size if a == b else 0.0
-            assert abs(total - want) <= 1e-12
-
-
-@pytest.mark.parametrize("orders", [(2,), (3,), (2, 2)])
-def test_generalized_bell_basis_orthonormal(orders):
-    g = AbelianGroup(orders)
-    basis = generalized_bell_basis(g)
-    n = g.size
-    assert basis.shape == (n * n, n * n)
-    assert frobenius(basis.conj().T @ basis - np.eye(n * n)) <= 1e-12
+def test_bell_basis_orthonormal_with_pauli_signatures():
+    assert frobenius(BELL_BASIS.conj().T @ BELL_BASIS - np.eye(4)) <= 1e-15
+    assert not BELL_BASIS.imag.any()
+    # Columns phi+, phi-, psi+, psi- are the joint eigenvectors of X x X and
+    # Z x Z with these eigenvalue pairs.
+    x = np.array([[0, 1], [1, 0]])
+    z = np.diag([1, -1])
+    for op, signs in ((np.kron(x, x), [1, -1, 1, -1]), (np.kron(z, z), [1, 1, -1, -1])):
+        assert frobenius(op @ BELL_BASIS - BELL_BASIS * signs) == 0.0
 
 
 def test_bell_basis_first_column_is_phi_plus():
-    basis = generalized_bell_basis(Z2)
-    overlap = abs(np.vdot(basis[:, 0], phi_plus(2)))
+    overlap = abs(np.vdot(BELL_BASIS[:, 0], phi_plus(2)))
     assert overlap == pytest.approx(1.0, abs=1e-14)
-
-
-def test_bell_labels_cover_group_squared():
-    labels = bell_labels(AbelianGroup((3,)))
-    assert len(labels) == 9
-    assert len({(l.g, l.chi) for l in labels}) == 9
-
-
-def test_shift_phase_commutation_phase():
-    g = AbelianGroup((3,))
-    for gg in g.elements():
-        x = shift_operator(g, gg)
-        assert frobenius(x @ x.conj().T - np.eye(3)) <= 1e-13
-        for aa in g.elements():
-            z = phase_operator(g, aa)
-            phase = g.character(aa, gg)
-            assert frobenius(z @ x - phase * (x @ z)) <= 1e-12
 
 
 def test_bell_diagonal_spectrum_and_projectors():
     p = np.array([0.4, 0.3, 0.2, 0.1])
     rho = bell_diagonal(p)
-    basis = generalized_bell_basis(Z2)
-    back = np.real(np.einsum("ik,ij,jk->k", basis.conj(), rho.matrix, basis))
+    back = np.real(np.einsum("ik,ij,jk->k", BELL_BASIS.conj(), rho.matrix, BELL_BASIS))
     assert np.max(np.abs(np.sort(back) - np.sort(p))) <= 1e-12
     one = bell_diagonal([1.0, 0.0, 0.0, 0.0])
     assert frobenius(one.matrix - max_entangled_projector(2)) <= 1e-14
@@ -161,20 +102,24 @@ def test_bell_diagonal_rejects_bad_weights():
         bell_diagonal([0.5, 0.1, 0.1, 0.1])
 
 
-@pytest.mark.parametrize("orders", [(2,), (3,)])
-def test_bell_twirl_equals_group_average(orders):
-    g = AbelianGroup(orders)
-    n = g.size
+def test_bell_twirl_equals_group_average():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1, -1]).astype(complex)
     rng = np.random.default_rng(17)
-    state = density_matrix(random_density(rng, n * n), BipartiteDims(n, n))
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for gg in g.elements():
-        for aa in g.elements():
-            u = shift_operator(g, gg) @ phase_operator(g, aa)
-            w = np.kron(u, u.conj())
-            acc += w @ state.matrix @ w.conj().T
-    acc /= g.size**2
-    assert frobenius(bell_twirl(state, g).matrix - acc) <= 1e-12
+    state = density_matrix(random_density(rng, 4), BipartiteDims(2, 2))
+    acc = np.zeros((4, 4), dtype=complex)
+    for u in (np.eye(2), x, z, x @ z):
+        w = np.kron(u, u.conj())
+        acc += w @ state.matrix @ w.conj().T
+    acc /= 4
+    assert frobenius(bell_twirl(state).matrix - acc) <= 1e-12
+
+
+def test_bell_twirl_rejects_non_two_qubit_states():
+    rng = np.random.default_rng(21)
+    state = density_matrix(random_density(rng, 9), BipartiteDims(3, 3))
+    with pytest.raises(ValueError, match="2x2"):
+        bell_twirl(state)
 
 
 def test_bell_twirl_idempotent_and_fixes_bell_diagonal():
@@ -186,16 +131,6 @@ def test_bell_twirl_idempotent_and_fixes_bell_diagonal():
     rho = bell_diagonal([0.5, 0.2, 0.2, 0.1])
     assert frobenius(bell_twirl(rho).matrix - rho.matrix) <= 1e-13
     once.validate()
-
-
-def test_isotropic_twirl_projects_onto_isotropic_family():
-    rng = np.random.default_rng(19)
-    state = density_matrix(random_density(rng, 9), BipartiteDims(3, 3))
-    out = isotropic_twirl(state)
-    f = entanglement_fidelity(state.matrix, 3)
-    assert frobenius(out.matrix - isotropic(3, f).matrix) <= 1e-12
-    again = isotropic_twirl(isotropic(3, 0.7))
-    assert frobenius(again.matrix - isotropic(3, 0.7).matrix) <= 1e-14
 
 
 def test_counterexample_pair_structure():

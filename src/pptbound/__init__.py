@@ -1,12 +1,12 @@
 """Relative-entropy upper bound on distillable entanglement over the PPT cone.
 
-The package computes min over PPT sigma of S(rho || sigma) by projected
-gradient descent, certifies candidate optimizers through first-order
+The package computes min over PPT sigma of S(rho || sigma) by spectral
+projected gradient, certifies candidate optimizers through first-order
 conditions, and cross-checks everything against the families whose bound
 is known in closed form.
 """
 
-from .entropy import relative_entropy, shannon_entropy, von_neumann_entropy
+from .entropy import relative_entropy, shannon_entropy
 from .formulas import (
     ClosedFormResult,
     NonadditivityReport,
@@ -95,5 +95,4 @@ __all__ = [
     "spec_to_state",
     "state_to_spec",
     "tensor",
-    "von_neumann_entropy",
 ]

@@ -13,7 +13,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -75,18 +74,10 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _config_from_args(args: argparse.Namespace) -> OptimizerConfig:
-    cfg = OptimizerConfig()
-    if args.tol is not None:
-        cfg = replace(cfg, grad_map_tol=args.tol)
-    if args.max_iters is not None:
-        cfg = replace(cfg, max_iters=args.max_iters)
-    return cfg
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     state = load_state(args.state)
-    result = minimize_rel_entropy(state, _config_from_args(args))
+    cfg = OptimizerConfig(max_iters=args.max_iters, grad_map_tol=args.tol)
+    result = minimize_rel_entropy(state, cfg)
     p = args.precision
     d = state.dims
     print(f"state: {args.state} ({d.total}x{d.total}, dims {d.d_a}x{d.d_b})")
@@ -137,7 +128,7 @@ def cmd_kkt(args: argparse.Namespace) -> int:
 
 def _rows_nonadditivity(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     precision = args.precision
-    rep = nonadditivity_experiment(restarts=args.restarts or 0, seed=args.seed or 0)
+    rep = nonadditivity_experiment(restarts=args.restarts, seed=args.seed)
     header = [
         "b1_bits",
         "b2_bits",
@@ -196,7 +187,7 @@ def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]
                     [
                         *(_fmt(x, precision) for x in p),
                         _fmt(float(p.max()), precision),
-                        _flag(bool(ppt)),
+                        _flag(ppt.ok),
                         _fmt(bound, precision),
                     ]
                 )
@@ -204,19 +195,7 @@ def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    builders = {
-        "nonadditivity": _rows_nonadditivity,
-        "isotropic_scan": _rows_isotropic_scan,
-        "bell_scan": _rows_bell_scan,
-    }
-    builder = builders.get(args.name)
-    if builder is None:
-        raise StateSpecError(
-            f"unknown experiment {args.name!r}; expected one of {', '.join(sorted(builders))}"
-        )
-    if args.name != "nonadditivity" and (args.restarts is not None or args.seed is not None):
-        raise ValueError("--restarts and --seed apply only to the nonadditivity experiment")
-    header, rows = builder(args)
+    header, rows = args.rows(args)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -231,8 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="minimize relative entropy over PPT states")
     p_bound.add_argument("--state", required=True, help="state file (JSON)")
-    p_bound.add_argument("--tol", type=_tolerance, default=None, help="gradient-map stopping tolerance")
-    p_bound.add_argument("--max-iters", type=_count(1), default=None, help="iteration cap")
+    p_bound.add_argument(
+        "--tol", type=_tolerance, default=OptimizerConfig.grad_map_tol, help="gradient-map stopping tolerance"
+    )
+    p_bound.add_argument(
+        "--max-iters", type=_count(1), default=OptimizerConfig.max_iters, help="iteration cap"
+    )
     p_bound.add_argument("--out", default=None, help="optional CSV output path")
     p_bound.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
     p_bound.set_defaults(func=cmd_bound)
@@ -250,19 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_kkt.set_defaults(func=cmd_kkt)
 
     p_exp = sub.add_parser("experiment", help="write a named experiment as CSV")
-    p_exp.add_argument("name", help="nonadditivity | isotropic_scan | bell_scan")
-    p_exp.add_argument("--out", required=True, help="CSV output path")
-    p_exp.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
-    p_exp.add_argument(
-        "--restarts",
-        type=_count(0),
-        default=None,
-        help="nonadditivity only: extra two-copy runs from random feasible starts (default 0)",
-    )
-    p_exp.add_argument(
-        "--seed", type=_count(0), default=None, help="nonadditivity only: seed of the restarts (default 0)"
-    )
     p_exp.set_defaults(func=cmd_experiment)
+    experiments = p_exp.add_subparsers(dest="name", required=True)
+    for name, rows, text in (
+        ("nonadditivity", _rows_nonadditivity, "two-copy bound deficit of the counterexample pair"),
+        ("isotropic_scan", _rows_isotropic_scan, "optimizer against the closed form on isotropic states"),
+        ("bell_scan", _rows_bell_scan, "PPT test and closed-form bound on Bell-diagonal states"),
+    ):
+        p = experiments.add_parser(name, help=text)
+        p.add_argument("--out", required=True, help="CSV output path")
+        p.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
+        p.set_defaults(rows=rows)
+    p_na = experiments.choices["nonadditivity"]
+    p_na.add_argument(
+        "--restarts", type=_count(0), default=0, help="extra two-copy runs from random feasible starts"
+    )
+    p_na.add_argument("--seed", type=_count(0), default=0, help="seed of the restarts")
 
     return parser
 

@@ -27,11 +27,6 @@ def shannon_entropy(p: np.ndarray) -> float:
     return max(0.0, float(-(w @ np.log(w)) / LN2))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr(rho log2 rho), clamped at zero."""
-    return max(0.0, entropy_nats(rho.matrix) / LN2)
-
-
 def entropy_nats(rho_mat: np.ndarray) -> float:
     """-Tr(rho ln rho) of a positive semidefinite matrix."""
     w = np.linalg.eigvalsh(hermitianize(require_hermitian(rho_mat, what="rho")))

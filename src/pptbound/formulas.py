@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import LN2, relative_entropy, shannon_entropy
+from .entropy import relative_entropy, shannon_entropy
 from .pptopt import (
     KktReport,
     OptimizerConfig,
@@ -17,7 +17,6 @@ from .pptopt import (
     minimize_rel_entropy,
 )
 from .states import (
-    BipartiteDims,
     DensityMatrix,
     bell_diagonal,
     check_alpha,
@@ -25,7 +24,6 @@ from .states import (
     counterexample_pair,
     isotropic,
     max_correlated,
-    max_entangled_projector,
     tensor,
 )
 
@@ -34,8 +32,6 @@ from .states import (
 class ClosedFormResult:
     bound_bits: float
     sigma_opt: DensityMatrix
-    family: str
-    permutation: tuple[int, ...] | None = None
 
 
 def _xlog2x(x: float) -> float:
@@ -46,39 +42,32 @@ def isotropic_bound(k: int, f: float) -> ClosedFormResult:
     """Exact bound for the isotropic state of fidelity f on a k x k system.
 
     Below fidelity 1/k the state is PPT and the bound is zero; above it the
-    bound is log2(k) + f log2 f + (1-f) log2((1-f)/(k-1)), attained by a
-    fixed fidelity-1/k mixture independent of f.
+    bound is log2(k) + f log2 f + (1-f) log2((1-f)/(k-1)), attained by the
+    isotropic state of fidelity 1/k whatever f is.
     """
     if k < 2:
         raise ValueError(f"need local dimension >= 2, got {k}")
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
     if f <= 1.0 / k:
-        return ClosedFormResult(bound_bits=0.0, sigma_opt=isotropic(k, f), family="isotropic")
+        return ClosedFormResult(bound_bits=0.0, sigma_opt=isotropic(k, f))
     value = math.log2(k) + _xlog2x(f) + _xlog2x(1.0 - f) - (1.0 - f) * math.log2(k - 1)
-    proj = max_entangled_projector(k)
-    eye = np.eye(k * k, dtype=complex)
-    sig = proj / (k + 1) + eye / (k * (k + 1))
-    sigma = DensityMatrix(matrix=sig, dims=BipartiteDims(k, k))
-    return ClosedFormResult(bound_bits=value, sigma_opt=sigma, family="isotropic")
+    return ClosedFormResult(bound_bits=value, sigma_opt=isotropic(k, 1.0 / k))
 
 
 def bell_z2_bound(p: np.ndarray) -> ClosedFormResult:
     """Exact bound for a Z_2 Bell-diagonal state with weights p.
 
     Only the largest weight a enters: zero when a <= 1/2 (the state is
-    PPT), else 1 + a log2 a + (1-a) log2(1-a).  The optimizing state puts
-    weight 1/2 on the dominant Bell label and rescales the rest; the
-    returned permutation sorts the input weights descending.
+    PPT), else 1 + a log2 a + (1-a) log2(1-a).  Below the threshold the
+    optimizing state is the input itself; above it, the state puts weight
+    1/2 on the dominant Bell label and rescales the rest to sum to 1/2.
     """
     w = check_probabilities(p, "weights", size=4)
-    order = tuple(int(i) for i in np.argsort(-w, kind="stable"))
-    top = order[0]
+    top = int(np.argmax(w))
     a = float(w[top])
     if a <= 0.5:
-        return ClosedFormResult(
-            bound_bits=0.0, sigma_opt=bell_diagonal(w), family="bell_z2", permutation=order
-        )
+        return ClosedFormResult(bound_bits=0.0, sigma_opt=bell_diagonal(w))
     value = 1.0 + _xlog2x(a) + _xlog2x(1.0 - a)
     rest = 1.0 - a
     if rest > 1e-15:
@@ -88,9 +77,7 @@ def bell_z2_bound(p: np.ndarray) -> ClosedFormResult:
     q[top] = 0.5
     q = np.clip(q, 0.0, None)
     q /= q.sum()
-    return ClosedFormResult(
-        bound_bits=value, sigma_opt=bell_diagonal(q), family="bell_z2", permutation=order
-    )
+    return ClosedFormResult(bound_bits=value, sigma_opt=bell_diagonal(q))
 
 
 def maxcorr_bound(alpha: np.ndarray) -> ClosedFormResult:
@@ -101,7 +88,7 @@ def maxcorr_bound(alpha: np.ndarray) -> ClosedFormResult:
     diag = np.clip(np.real(np.diag(a)), 0.0, None)
     value = shannon_entropy(diag) - shannon_entropy(np.linalg.eigvalsh(a))
     sigma = max_correlated(np.diag(diag) / diag.sum())
-    return ClosedFormResult(bound_bits=value, sigma_opt=sigma, family="max_correlated")
+    return ClosedFormResult(bound_bits=value, sigma_opt=sigma)
 
 
 def pure_state_bound(schmidt: np.ndarray) -> ClosedFormResult:
@@ -109,7 +96,7 @@ def pure_state_bound(schmidt: np.ndarray) -> ClosedFormResult:
     p = check_probabilities(schmidt, "Schmidt coefficients")
     q = np.clip(p, 0.0, None)
     sigma = max_correlated(np.diag(q / q.sum()))
-    return ClosedFormResult(bound_bits=shannon_entropy(p), sigma_opt=sigma, family="pure")
+    return ClosedFormResult(bound_bits=shannon_entropy(p), sigma_opt=sigma)
 
 
 @dataclass(eq=False)

@@ -56,8 +56,19 @@ def check_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "matrix") -> np.ndarray:
+def check_dims(m: np.ndarray, dims: BipartiteDims, what: str = "matrix") -> np.ndarray:
     a = check_square(m, what)
+    if a.shape[0] != dims.total:
+        raise ValueError(f"{what} of size {a.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
+    return a
+
+
+def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "matrix") -> np.ndarray:
+    """``m`` as an array, or ValueError unless it is square with finite
+    entries and Hermitian to within ``rtol`` * max(1, |m|)."""
+    a = check_square(m, what)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry")
     dev = float(np.linalg.norm(a - a.conj().T))
     scale = max(1.0, float(np.linalg.norm(a)))
     if dev > rtol * scale:
@@ -150,38 +161,16 @@ def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Transpose the B factor: out[(i,l),(k,j)] = m[(i,j),(k,l)]."""
-    a = check_square(m)
     da, db = dims.d_a, dims.d_b
-    if a.shape[0] != dims.total:
-        raise ValueError(f"matrix of size {a.shape[0]} does not match dims {da}x{db}")
-    return a.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(dims.total, dims.total)
+    return check_dims(m, dims).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(dims.total, dims.total)
 
 
 def partial_trace(m: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
     """Trace out one factor; ``side`` names the factor that is removed."""
-    a = check_square(m)
-    da, db = dims.d_a, dims.d_b
-    if a.shape[0] != dims.total:
-        raise ValueError(f"matrix of size {a.shape[0]} does not match dims {da}x{db}")
-    r = a.reshape(da, db, da, db)
+    r = check_dims(m, dims).reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
     if side == "A":
         return np.einsum("ijil->jl", r)
     if side == "B":
         return np.einsum("ijkj->ik", r)
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
-
-def tensor_bipartite(
-    a: np.ndarray, dims_a: BipartiteDims, b: np.ndarray, dims_b: BipartiteDims
-) -> tuple[np.ndarray, BipartiteDims]:
-    """Tensor product of two bipartite operators, reordered so the joint
-    bipartition is (A A') vs (B B') in lexicographic product order."""
-    ka = check_square(a)
-    kb = check_square(b)
-    if ka.shape[0] != dims_a.total or kb.shape[0] != dims_b.total:
-        raise ValueError("operator sizes do not match their stated dims")
-    big = np.kron(ka, kb)
-    shape = (dims_a.d_a, dims_a.d_b, dims_b.d_a, dims_b.d_b)
-    n = dims_a.total * dims_b.total
-    big = big.reshape(shape + shape).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(n, n)
-    return big, BipartiteDims(dims_a.d_a * dims_b.d_a, dims_a.d_b * dims_b.d_b)

@@ -34,7 +34,7 @@ from .linalg import (
     DEFAULT_SUPPORT_TOL,
     BipartiteDims,
     SpectralPoint,
-    check_square,
+    check_dims,
     dd_gradient,
     divided_difference_log,
     frobenius,
@@ -85,9 +85,6 @@ class PptCheck:
     ok: bool
     min_eig: float
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(eq=False)
 class ProjectedState:
@@ -137,8 +134,8 @@ class AdditivityReport:
 
 
 def is_ppt(rho: DensityMatrix, tol: float = 1e-8) -> PptCheck:
-    """Whether the partial transpose of rho is positive semidefinite."""
-    pt = partial_transpose(hermitianize(rho.matrix), rho.dims)
+    """Whether the partial transpose of rho, which must be Hermitian, is PSD."""
+    pt = partial_transpose(hermitianize(require_hermitian(rho.matrix, what="rho")), rho.dims)
     low = float(np.linalg.eigvalsh(pt)[0])
     return PptCheck(ok=low >= -tol, min_eig=low)
 
@@ -183,9 +180,7 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     untransposed side.  A result that used up the cycle budget
     (DYKSTRA_ITERS cycles) is returned flagged, not raised.
     """
-    z = hermitianize(np.asarray(check_square(mat), dtype=complex))
-    if z.shape[0] != dims.total:
-        raise ValueError(f"matrix of size {z.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
+    z = hermitianize(np.asarray(check_dims(mat, dims), dtype=complex))
     q = q_prev = np.zeros_like(z)
     b = z
     t = 1.0
@@ -375,11 +370,11 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-8) -> Kk
     Builds K = 1 - grad(Tr rho ln sigma) and passes iff the partial
     transposes satisfy sigma^G K^G = 0 and K^G >= 0 within tolerance.
     Singular sigma is rejected here; use :func:`kkt_check_maxcorr` for the
-    structured diagonal-support family.
+    structured diagonal-support family.  rho and sigma must be Hermitian.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    sig_mat = hermitianize(np.asarray(sigma.matrix, dtype=complex))
+    sig_mat = hermitianize(np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex))
     point = SpectralPoint(require_hermitian(rho.matrix, what="rho"), sig_mat)
     if float(point.eigenvalues[0]) <= DEFAULT_FLOOR:
         raise ValueError(

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    BipartiteDims,
-    check_square,
-    hermitianize,
-    require_hermitian,
-    tensor_bipartite,
-)
+from .linalg import HERMITIAN_RTOL, BipartiteDims, check_dims, hermitianize, require_hermitian
 
 TRACE_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -34,18 +28,11 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.dims.total
 
-    def validate(
-        self,
-        trace_tol: float = TRACE_TOL,
-        eig_tol: float = EIG_TOL,
-        herm_rtol: float = 1e-12,
-    ) -> None:
-        """Raise ValueError naming the first violated invariant, if any."""
-        m = check_square(self.matrix, "density matrix")
-        if m.shape[0] != self.dims.total:
-            raise ValueError(
-                f"density matrix size {m.shape[0]} does not match dims {self.dims.d_a}x{self.dims.d_b}"
-            )
+    def validate(self, tol: float | None = None) -> None:
+        """Raise ValueError naming the first violated invariant, if any;
+        ``tol`` replaces HERMITIAN_RTOL, TRACE_TOL and EIG_TOL when given."""
+        herm_rtol, trace_tol, eig_tol = (HERMITIAN_RTOL, TRACE_TOL, EIG_TOL) if tol is None else (tol,) * 3
+        m = check_dims(self.matrix, self.dims, "density matrix")
         require_hermitian(m, herm_rtol, "density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > trace_tol:
@@ -55,16 +42,9 @@ class DensityMatrix:
             raise ValueError(f"positivity invariant violated: min eigenvalue = {low:.3e}")
 
 
-def density_matrix(matrix: np.ndarray, dims: BipartiteDims | None = None) -> DensityMatrix:
-    """Checked constructor; with ``dims`` omitted, assumes equal local factors."""
-    m = np.asarray(matrix, dtype=complex)
-    m = check_square(m, "density matrix")
-    if dims is None:
-        k = math.isqrt(m.shape[0])
-        if k * k != m.shape[0]:
-            raise ValueError(f"cannot infer square bipartition from size {m.shape[0]}")
-        dims = BipartiteDims(k, k)
-    dm = DensityMatrix(matrix=m, dims=dims)
+def density_matrix(matrix: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
+    """Checked constructor."""
+    dm = DensityMatrix(matrix=np.asarray(matrix, dtype=complex), dims=dims)
     dm.validate()
     return dm
 
@@ -109,12 +89,12 @@ BELL_BASIS = np.array(
 
 def check_probabilities(p: np.ndarray, what: str, size: int | None = None) -> np.ndarray:
     """``p`` as a float vector, or ValueError unless it has ``size`` entries
-    (at least two when ``size`` is None) that are >= -1e-12 and sum to 1
-    within 1e-9."""
+    (at least two when ``size`` is None) that are finite, >= -1e-12 and sum
+    to 1 within 1e-9."""
     w = np.asarray(p, dtype=float)
     if (w.shape != (size,)) if size else (w.ndim != 1 or w.size < 2):
         raise ValueError(f"need {size or 'at least two'} {what}, got shape {w.shape}")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
+    if not np.isfinite(w).all() or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"{what} must form a probability vector, got {w}")
     return w
 
@@ -237,6 +217,10 @@ def phase_mask(rho: DensityMatrix) -> np.ndarray:
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Tensor product as a bipartite state over (A A') vs (B B')."""
-    m, dims = tensor_bipartite(a.matrix, a.dims, b.matrix, b.dims)
-    return DensityMatrix(matrix=m, dims=dims)
+    """Tensor product as a bipartite state over (A A') vs (B B'), in
+    lexicographic product order on each side."""
+    shape = (a.dims.d_a, a.dims.d_b, b.dims.d_a, b.dims.d_b)
+    n = a.dim * b.dim
+    big = np.kron(a.matrix, b.matrix).reshape(shape + shape)
+    m = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(n, n)
+    return DensityMatrix(matrix=m, dims=BipartiteDims(a.dims.d_a * b.dims.d_a, a.dims.d_b * b.dims.d_b))

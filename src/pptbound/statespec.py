@@ -113,7 +113,7 @@ def _explicit_state(spec: dict) -> DensityMatrix:
     dims = BipartiteDims(int(d_a), int(d_b))
     candidate = DensityMatrix(matrix=m, dims=dims)
     try:
-        candidate.validate(FILE_TOL, FILE_TOL, FILE_TOL)
+        candidate.validate(FILE_TOL)
     except HermiticityError as exc:
         raise StateSpecError(f"hermiticity invariant violated: {exc}") from exc
     except ValueError as exc:

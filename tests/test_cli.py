@@ -186,11 +186,24 @@ def test_experiment_nonadditivity_csv(tmp_path):
 
 
 def test_experiment_error_paths(tmp_path):
-    assert main(["experiment", "frobnicate", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["experiment", "bell_scan", "--out", str(tmp_path / "nodir" / "x.csv")]) == 1
-    assert main(["experiment", "bell_scan", "--out", str(tmp_path / "x.csv"), "--seed", "1"]) == 1
-    assert main(["experiment", "isotropic_scan", "--out", str(tmp_path / "x.csv"), "--restarts", "1"]) == 1
+    for argv in (
+        ["frobnicate"],
+        ["bell_scan", "--seed", "1"],
+        ["isotropic_scan", "--restarts", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_experiment_nonadditivity_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "nonadditivity", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--restarts" in out and "--seed" in out
 
 
 def test_experiment_nonadditivity_restarts(tmp_path, capsys):

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density
-from pptbound.entropy import (
-    relative_entropy,
-    relative_entropy_nats,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from pptbound.entropy import LN2, entropy_nats, relative_entropy, relative_entropy_nats, shannon_entropy
 from pptbound.linalg import BipartiteDims
 from pptbound.states import DensityMatrix, entanglement_fidelity, isotropic, pure_state
 
@@ -40,19 +35,19 @@ def test_shannon_entropy_range(seed, n):
 
 
 def test_von_neumann_entropy_pure_and_mixed():
-    assert von_neumann_entropy(pure_state(np.array([0.5, 0.5]))) == pytest.approx(0.0, abs=1e-10)
+    assert entropy_nats(pure_state(np.array([0.5, 0.5])).matrix) / LN2 == pytest.approx(0.0, abs=1e-10)
     rho = isotropic(2, 0.75)
     eigs = np.linalg.eigvalsh(rho.matrix)
     want = -(eigs * np.log2(eigs)).sum()
-    assert von_neumann_entropy(rho) == pytest.approx(want, abs=1e-12)
+    assert entropy_nats(rho.matrix) / LN2 == pytest.approx(want, abs=1e-12)
 
 
 def test_von_neumann_entropy_additive_over_kron():
     rng = np.random.default_rng(10)
     a = random_density(rng, 4)
     b = random_density(rng, 4)
-    lhs = von_neumann_entropy(_dm(np.kron(a, b), 4, 4))
-    rhs = von_neumann_entropy(_dm(a, 2, 2)) + von_neumann_entropy(_dm(b, 2, 2))
+    lhs = entropy_nats(np.kron(a, b)) / LN2
+    rhs = entropy_nats(a) / LN2 + entropy_nats(b) / LN2
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 

@@ -17,7 +17,6 @@ from pptbound.linalg import (
     hermitianize,
     partial_trace,
     partial_transpose,
-    tensor_bipartite,
 )
 from pptbound.states import max_entangled_projector
 
@@ -156,19 +155,3 @@ def test_partial_trace_preserves_trace_and_rejects_bad_side():
     with pytest.raises(ValueError):
         partial_trace(m, dims, "C")
 
-
-def test_tensor_bipartite_regroups_parties():
-    rng = np.random.default_rng(9)
-    d1 = BipartiteDims(2, 2)
-    d2 = BipartiteDims(2, 3)
-    a = random_density(rng, d1.total)
-    b = random_density(rng, d2.total)
-    joint, dims = tensor_bipartite(a, d1, b, d2)
-    assert (dims.d_a, dims.d_b) == (4, 6)
-    assert np.trace(joint) == pytest.approx(1.0)
-    eigs = np.sort(np.linalg.eigvalsh(joint))
-    prod = np.sort(np.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel())
-    assert np.max(np.abs(eigs - prod)) <= 1e-12
-    pt_joint = partial_transpose(joint, dims)
-    pt_parts, _ = tensor_bipartite(partial_transpose(a, d1), d1, partial_transpose(b, d2), d2)
-    assert frobenius(pt_joint - pt_parts) <= 1e-12

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_definite_density, random_density, random_hermitian
 from pptbound.entropy import relative_entropy
 from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pure_state_bound
-from pptbound.linalg import BipartiteDims, frobenius, hermitianize, partial_transpose
+from pptbound.linalg import BipartiteDims, HermiticityError, frobenius, hermitianize, partial_transpose
 from pptbound import pptopt
 from pptbound.pptopt import (
     OptimizerConfig,
@@ -49,7 +49,19 @@ def test_is_ppt_known_cases():
 def test_is_ppt_reports_min_eig():
     chk = is_ppt(isotropic(2, 1.0))
     assert chk.min_eig == pytest.approx(-0.5, abs=1e-12)
-    assert bool(chk) is chk.ok
+
+
+def _tilted_sigma():
+    """The counterexample sigma with 0.05 added to entry (1, 2) only."""
+    _, sigma = counterexample_pair()
+    m = sigma.matrix.copy()
+    m[1, 2] += 0.05
+    return DensityMatrix(matrix=m, dims=DIMS22)
+
+
+def test_is_ppt_rejects_non_hermitian_input():
+    with pytest.raises(HermiticityError):
+        is_ppt(_tilted_sigma())
 
 
 def test_project_ppt_fixes_ppt_points():
@@ -299,6 +311,12 @@ def test_kkt_check_rejects_wrong_optimum():
     rho = isotropic(2, 0.9)
     report = kkt_check(rho, isotropic(2, 0.45))
     assert not report.passed
+
+
+def test_kkt_check_rejects_non_hermitian_sigma():
+    rho, _ = counterexample_pair()
+    with pytest.raises(HermiticityError):
+        kkt_check(rho, _tilted_sigma())
 
 
 def test_kkt_check_rejects_singular_sigma():

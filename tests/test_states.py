@@ -12,6 +12,8 @@ from pptbound.states import (
     DensityMatrix,
     bell_diagonal,
     bell_twirl,
+    check_alpha,
+    check_probabilities,
     counterexample_pair,
     density_matrix,
     entanglement_fidelity,
@@ -39,11 +41,19 @@ def test_validate_names_the_violated_invariant():
         DensityMatrix(matrix=good, dims=BipartiteDims(2, 3)).validate()
 
 
-def test_density_matrix_infers_square_dims():
-    state = density_matrix(np.eye(9) / 9)
-    assert (state.dims.d_a, state.dims.d_b) == (3, 3)
-    with pytest.raises(ValueError, match="bipartition"):
-        density_matrix(np.eye(6) / 6)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: check_probabilities([np.nan, 0.5, 0.5], "w"),
+        lambda: bell_diagonal([np.nan, 0.5, 0.25, 0.25]),
+        lambda: pure_state([np.nan, 1.0]),
+        lambda: check_alpha([[np.nan, 0.0], [0.0, 1.0]]),
+    ],
+    ids=["check_probabilities", "bell_diagonal", "pure_state", "check_alpha"],
+)
+def test_non_finite_input_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_phi_plus_projector():
@@ -184,6 +194,24 @@ def test_tensor_regroups_and_partial_traces_factor():
     left = partial_trace(joint.matrix, joint.dims, "B")
     want = np.kron(partial_trace(a.matrix, a.dims, "B"), partial_trace(b.matrix, b.dims, "B"))
     assert frobenius(left - want) <= 1e-12
+
+
+def test_tensor_regroups_parties():
+    rng = np.random.default_rng(9)
+    d1 = BipartiteDims(2, 2)
+    d2 = BipartiteDims(2, 3)
+    a = DensityMatrix(matrix=random_density(rng, d1.total), dims=d1)
+    b = DensityMatrix(matrix=random_density(rng, d2.total), dims=d2)
+    joint = tensor(a, b)
+    assert (joint.dims.d_a, joint.dims.d_b) == (4, 6)
+    assert np.trace(joint.matrix) == pytest.approx(1.0)
+    eigs = np.sort(np.linalg.eigvalsh(joint.matrix))
+    prod = np.sort(np.outer(np.linalg.eigvalsh(a.matrix), np.linalg.eigvalsh(b.matrix)).ravel())
+    assert np.max(np.abs(eigs - prod)) <= 1e-12
+    pt_joint = partial_transpose(joint.matrix, joint.dims)
+    pt_a = DensityMatrix(matrix=partial_transpose(a.matrix, d1), dims=d1)
+    pt_b = DensityMatrix(matrix=partial_transpose(b.matrix, d2), dims=d2)
+    assert frobenius(pt_joint - tensor(pt_a, pt_b).matrix) <= 1e-12
 
 
 @given(st.integers(0, 10_000))

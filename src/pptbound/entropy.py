@@ -17,23 +17,24 @@ from .states import DensityMatrix
 LN2 = math.log(2.0)
 
 
+def _entropy_of(w: np.ndarray) -> float:
+    """-sum w ln w over the weights above DEFAULT_FLOOR, in nats."""
+    w = w[w > DEFAULT_FLOOR]
+    return float(-(w @ np.log(w)))
+
+
 def shannon_entropy(p: np.ndarray) -> float:
     """Entropy of a probability vector in bits; weights <= DEFAULT_FLOOR are
-    skipped."""
+    skipped, and a non-finite weight raises ValueError."""
     w = np.asarray(p, dtype=float)
-    w = w[w > DEFAULT_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return max(0.0, float(-(w @ np.log(w)) / LN2))
+    if not np.isfinite(w).all():
+        raise ValueError("probabilities must be finite")
+    return max(0.0, _entropy_of(w) / LN2)
 
 
 def entropy_nats(rho_mat: np.ndarray) -> float:
     """-Tr(rho ln rho) of a positive semidefinite matrix."""
-    w = np.linalg.eigvalsh(hermitianize(require_hermitian(rho_mat, what="rho")))
-    w = w[w > DEFAULT_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(-(w @ np.log(w)))
+    return _entropy_of(np.linalg.eigvalsh(hermitianize(require_hermitian(rho_mat, what="rho"))))
 
 
 def relative_entropy_nats(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:

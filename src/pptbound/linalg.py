@@ -159,6 +159,21 @@ def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return point.gradient()
 
 
+def _simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex
+    (Duchi et al., ICML 2008): one threshold found from the sorted values."""
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    r = np.nonzero(u * np.arange(1, u.size + 1) > css)[0][-1]
+    return np.maximum(w - css[r] / (r + 1), 0.0)
+
+
+def _spectraplex_project(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest unit-trace PSD matrix to the Hermitian ``m``."""
+    w, v = np.linalg.eigh(m)
+    return (v * _simplex(w)) @ v.conj().T
+
+
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Transpose the B factor: out[(i,l),(k,j)] = m[(i,j),(k,l)]."""
     da, db = dims.d_a, dims.d_b

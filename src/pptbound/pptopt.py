@@ -34,6 +34,7 @@ from .linalg import (
     DEFAULT_SUPPORT_TOL,
     BipartiteDims,
     SpectralPoint,
+    _spectraplex_project,
     check_dims,
     dd_gradient,
     divided_difference_log,
@@ -42,7 +43,7 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, check_alpha, phase_mask
+from .states import DensityMatrix, check_alpha, max_correlated, phase_mask
 
 # Spectral step of the first iteration.
 STEP_INIT = 1.0
@@ -133,26 +134,15 @@ class AdditivityReport:
     additive_self: bool
 
 
+def _gamma_min_eig(m: np.ndarray, dims: BipartiteDims) -> float:
+    """Least eigenvalue of the partial transpose of the Hermitian ``m``."""
+    return float(np.linalg.eigvalsh(hermitianize(partial_transpose(m, dims)))[0])
+
+
 def is_ppt(rho: DensityMatrix, tol: float = 1e-8) -> PptCheck:
     """Whether the partial transpose of rho, which must be Hermitian, is PSD."""
-    pt = partial_transpose(hermitianize(require_hermitian(rho.matrix, what="rho")), rho.dims)
-    low = float(np.linalg.eigvalsh(pt)[0])
+    low = _gamma_min_eig(require_hermitian(rho.matrix, what="rho"), rho.dims)
     return PptCheck(ok=low >= -tol, min_eig=low)
-
-
-def _simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex
-    (Duchi et al., ICML 2008): one threshold found from the sorted values."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    r = np.nonzero(u * np.arange(1, u.size + 1) > css)[0][-1]
-    return np.maximum(w - css[r] / (r + 1), 0.0)
-
-
-def _spectraplex_project(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest unit-trace PSD matrix to the Hermitian ``m``."""
-    w, v = np.linalg.eigh(m)
-    return (v * _simplex(w)) @ v.conj().T
 
 
 def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
@@ -178,9 +168,12 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     returned state is b, so it is PPT and of unit trace to rounding; the
     reported residual is the positivity deficiency that remains on the
     untransposed side.  A result that used up the cycle budget
-    (DYKSTRA_ITERS cycles) is returned flagged, not raised.
+    (DYKSTRA_ITERS cycles) is returned flagged, not raised; a matrix with a
+    non-finite entry raises ValueError.
     """
     z = hermitianize(np.asarray(check_dims(mat, dims), dtype=complex))
+    if not np.isfinite(z).all():
+        raise ValueError("matrix to project has a non-finite entry")
     q = q_prev = np.zeros_like(z)
     b = z
     t = 1.0
@@ -290,10 +283,15 @@ def minimize_rel_entropy(
     bound is the relative entropy at the mixed sigma.  Projections that
     used up their cycle budget are counted in ``capped_projections``, and
     the largest positivity deficiency any projection left is
-    ``max_projection_residual``.
+    ``max_projection_residual``.  An ``initial`` that is not a finite
+    Hermitian matrix of rho's dimensions raises ValueError.
     """
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
+    if initial is not None:
+        if initial.dims != dims:
+            raise ValueError(f"dimension mismatch: rho {dims}, initial {initial.dims}")
+        require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial")
     rho_mat = hermitianize(np.asarray(rho.matrix, dtype=complex))
     if is_ppt(rho, tol=1e-12).ok:
         return OptimizerResult(
@@ -364,6 +362,28 @@ def minimize_rel_entropy(
     )
 
 
+def _certificate(
+    k_matrix: np.ndarray,
+    sigma: np.ndarray,
+    dims: BipartiteDims,
+    tol: float,
+    multiplier_ok: bool = True,
+    **multiplier: float,
+) -> KktReport:
+    """Report for the candidate multiplier K at sigma: the complementarity
+    residual |sigma^G K^G|, the least eigenvalue of K^G, and ``passed`` when
+    both are within ``tol`` and ``multiplier_ok`` holds."""
+    residual = frobenius(partial_transpose(sigma, dims) @ partial_transpose(k_matrix, dims))
+    min_eig = _gamma_min_eig(k_matrix, dims)
+    return KktReport(
+        k_matrix=k_matrix,
+        complementarity_residual=residual,
+        k_gamma_min_eig=min_eig,
+        passed=residual <= tol and min_eig >= -tol and multiplier_ok,
+        **multiplier,
+    )
+
+
 def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-8) -> KktReport:
     """Optimality certificate for a positive definite PPT candidate sigma.
 
@@ -382,75 +402,47 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-8) -> Kk
             "for states supported on the diagonal pairs use kkt_check_maxcorr"
         )
     k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - point.gradient()
-    k_gamma = partial_transpose(k_matrix, rho.dims)
-    sig_gamma = partial_transpose(sig_mat, rho.dims)
-    residual = frobenius(sig_gamma @ k_gamma)
-    min_eig = float(np.linalg.eigvalsh(hermitianize(k_gamma))[0])
-    return KktReport(
-        k_matrix=k_matrix,
-        complementarity_residual=residual,
-        k_gamma_min_eig=min_eig,
-        passed=(residual <= tol and min_eig >= -tol),
-    )
+    return _certificate(k_matrix, sig_mat, rho.dims, tol)
 
 
 def kkt_check_maxcorr(alpha: np.ndarray, tol: float = 1e-8) -> KktReport:
     """Structured certificate for maximally correlated rho built from alpha.
 
     The candidate sigma keeps only the diagonal weights alpha_ii on |ii>.
-    Because sigma is singular, the multiplier splits as K + L with L
-    supported on the null space; the report carries the extra residuals and
-    the scalar-route margin min_ij (1 - sqrt(a_ii a_jj) f(a_ii, a_jj)),
-    whose nonnegativity is the pairwise sufficient condition.
+    Being singular, it takes K = 1 - grad(Tr rho ln sigma) - L, with L =
+    diag(lambda_ij) on the null directions |ij>, i != j, and the gradient
+    frozen on sigma's kernel: there ln is only seen through the floor clamp,
+    and keeping those couplings fails pure states with a Schmidt weight
+    under DEFAULT_FLOOR.  The report carries the extra residuals and the
+    scalar-route margin min_ij (1 - sqrt(a_ii a_jj) f(a_ii, a_jj)), whose
+    nonnegativity is the pairwise sufficient condition.
     """
     a = check_alpha(alpha)
+    rho = max_correlated(a)
     k = a.shape[0]
     d = np.clip(np.real(np.diag(a)), 0.0, None)
-    n = k * k
     f = divided_difference_log(d)
     live = d > DEFAULT_FLOOR
     live_pair = np.outer(live, live)
     off = ~np.eye(k, dtype=bool)
 
-    lam = np.zeros((k, k))
-    strength = np.abs(a) * f
-    lam[off] = 1.0 - np.minimum(1.0, strength[off])
-    lam[~live_pair] = 1.0
+    lam = np.where(live_pair, 1.0 - np.minimum(1.0, np.abs(a) * f), 1.0)
+    l_diag = np.where(off, lam, 0.0).ravel()
+    sigma = np.diag(np.where(off, 0.0, d).ravel()).astype(complex)
+    point = SpectralPoint(rho.matrix, sigma)
+    grad = point.gradient(point.eigenvalues <= DEFAULT_FLOOR)
+    k_matrix = np.eye(k * k, dtype=complex) - grad - np.diag(l_diag)
 
-    k_matrix = np.zeros((n, n), dtype=complex)
-    diag_idx = np.arange(k) * (k + 1)
-    block = np.where(live_pair, -(a * f), 0.0)
-    np.fill_diagonal(block, np.where(live, 0.0, 1.0))
-    k_matrix[np.ix_(diag_idx, diag_idx)] = block
-    l_diag = np.zeros(n)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                k_matrix[i * k + j, i * k + j] = 1.0 - lam[i, j]
-                l_diag[i * k + j] = lam[i, j]
-
-    dims = BipartiteDims(k, k)
-    sigma = np.zeros((n, n), dtype=complex)
-    sigma[diag_idx, diag_idx] = d
-    k_gamma = partial_transpose(k_matrix, dims)
-    residual = frobenius(partial_transpose(sigma, dims) @ k_gamma)
-    min_eig = float(np.linalg.eigvalsh(hermitianize(k_gamma))[0])
     l_min = float(l_diag.min())
     sigma_l = frobenius(sigma @ np.diag(l_diag))
     pair_margin = 1.0 - np.sqrt(np.outer(d, d)) * f
     scalar_margin = float(pair_margin[off & live_pair].min()) if (off & live_pair).any() else 1.0
-    passed = (
-        residual <= tol
-        and min_eig >= -tol
-        and l_min >= -tol
-        and sigma_l <= tol
-        and scalar_margin >= -tol
-    )
-    return KktReport(
-        k_matrix=k_matrix,
-        complementarity_residual=residual,
-        k_gamma_min_eig=min_eig,
-        passed=passed,
+    return _certificate(
+        k_matrix,
+        sigma,
+        rho.dims,
+        tol,
+        multiplier_ok=l_min >= -tol and sigma_l <= tol and scalar_margin >= -tol,
         l_min_eig=l_min,
         sigma_l_residual=sigma_l,
         scalar_margin=scalar_margin,
@@ -472,8 +464,7 @@ def additivity_check(
     comm = rho.matrix @ sigma.matrix - sigma.matrix @ rho.matrix
     comm_norm = frobenius(comm)
     commutes = comm_norm <= tol
-    grad = dd_gradient(rho.matrix, sigma.matrix)
-    min_eig = float(np.linalg.eigvalsh(hermitianize(partial_transpose(grad, rho.dims)))[0])
+    min_eig = _gamma_min_eig(dd_gradient(rho.matrix, sigma.matrix), rho.dims)
     return AdditivityReport(
         commutes=commutes,
         commutator_norm=comm_norm,

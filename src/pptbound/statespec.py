@@ -8,9 +8,9 @@ A state file is a single JSON object in one of two shapes:
 Complex entries are written as ``[re, im]`` pairs; a bare number is accepted
 on input and read as a real entry.  Explicit matrices are admitted when they
 are Hermitian, unit-trace, and positive semidefinite to within ``FILE_TOL``,
-then nudged onto the exact constraint set.  Files that already satisfy the
-in-memory invariants pass through untouched, so a dump/load cycle preserves
-every entry bit for bit.
+then replaced by the Frobenius-nearest unit-trace PSD matrix.  Files that
+already satisfy the in-memory invariants pass through untouched, so a
+dump/load cycle preserves every entry bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import BipartiteDims, HermiticityError, hermitianize
+from .linalg import BipartiteDims, HermiticityError, _spectraplex_project, hermitianize
 from .states import (
-    EIG_TOL,
-    TRACE_TOL,
     DensityMatrix,
     bell_diagonal,
     counterexample_pair,
@@ -126,14 +124,7 @@ def _explicit_state(spec: dict) -> DensityMatrix:
         # Already valid at working precision: hand the entries back untouched
         # so a dump/load cycle is bit-exact.
         return candidate
-    m = hermitianize(m)
-    if float(np.linalg.eigvalsh(m)[0]) < -EIG_TOL:
-        w, v = np.linalg.eigh(m)
-        m = hermitianize((v * np.clip(w, 0.0, None)) @ v.conj().T)
-    tr_real = float(np.trace(m).real)
-    if abs(tr_real - 1.0) > TRACE_TOL:
-        m = m / tr_real
-    state = DensityMatrix(matrix=m, dims=dims)
+    state = DensityMatrix(matrix=hermitianize(_spectraplex_project(hermitianize(m))), dims=dims)
     state.validate()
     return state
 

@@ -26,6 +26,12 @@ def test_shannon_entropy_skips_zeros_and_clamps():
     assert shannon_entropy(np.array([0.5, 0.5, 1e-18])) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shannon_entropy_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        shannon_entropy(np.array([bad, 1.0]))
+
+
 @given(st.integers(0, 10_000), st.integers(2, 12))
 @settings(max_examples=50, deadline=None)
 def test_shannon_entropy_range(seed, n):

@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 from conftest import random_definite_density, random_density, random_hermitian
 from pptbound.entropy import relative_entropy
 from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pure_state_bound
-from pptbound.linalg import BipartiteDims, HermiticityError, frobenius, hermitianize, partial_transpose
+from pptbound.linalg import (
+    DEFAULT_FLOOR,
+    BipartiteDims,
+    HermiticityError,
+    _simplex,
+    divided_difference_log,
+    frobenius,
+    hermitianize,
+    partial_transpose,
+)
 from pptbound import pptopt
 from pptbound.pptopt import (
     OptimizerConfig,
     _mix_with_identity,
-    _simplex,
     additivity_check,
     is_ppt,
     kkt_check,
@@ -90,6 +98,11 @@ def test_project_ppt_max_entangled_lands_on_isotropic_boundary(k):
     want = isotropic(k, 1.0 / k)
     assert frobenius(out.state.matrix - want.matrix) <= 1e-9
     assert out.converged
+
+
+def test_project_ppt_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="non-finite"):
+        project_ppt(np.full((4, 4), np.nan), DIMS22)
 
 
 def test_project_ppt_accepts_hermitian_non_state_input():
@@ -193,6 +206,21 @@ def test_minimize_accepts_warm_start():
     res = minimize_rel_entropy(rho, initial=warm)
     assert res.converged
     assert res.bound_bits == pytest.approx(isotropic_bound(2, 0.8).bound_bits, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [
+        DensityMatrix(matrix=np.full((4, 4), np.nan, dtype=complex), dims=DIMS22),
+        _tilted_sigma(),
+        isotropic(3, 0.5),
+        DensityMatrix(matrix=np.eye(9) / 9, dims=DIMS22),
+    ],
+    ids=["nan", "non-hermitian", "other-dims", "wrong-size"],
+)
+def test_minimize_rejects_bad_initial(initial):
+    with pytest.raises(ValueError, match="initial"):
+        minimize_rel_entropy(isotropic(2, 0.9), initial=initial)
 
 
 def test_minimize_iteration_cap_reports_nonconvergence():
@@ -342,6 +370,45 @@ def test_kkt_check_maxcorr_diagonal_alpha_boundary():
     report = kkt_check_maxcorr(np.diag([0.6, 0.4]))
     assert report.passed
     assert report.scalar_margin == pytest.approx(1.0 - np.sqrt(0.24) * (np.log(0.6) - np.log(0.4)) / 0.2, abs=1e-12)
+
+
+def _maxcorr_reference_k(alpha):
+    """K of the max-correlated certificate filled entry by entry: -alpha o f
+    on the live |ii> x |jj> pairs, 1 on a dead |ii>, and 1 - lambda_ij on
+    |ij>, i != j, with lambda_ij = 1 - min(1, |alpha_ij| f_ij) when both
+    diagonal weights are live and 1 otherwise."""
+    a = hermitianize(np.asarray(alpha, dtype=complex))
+    k = a.shape[0]
+    d = np.clip(np.real(np.diag(a)), 0.0, None)
+    f = divided_difference_log(d)
+    live = d > DEFAULT_FLOOR
+    want = np.zeros((k * k, k * k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                want[i * k + i, i * k + i] = 0.0 if live[i] else 1.0
+                continue
+            lam = 1.0
+            if live[i] and live[j]:
+                want[i * k + i, j * k + j] = -a[i, j] * f[i, j]
+                lam = 1.0 - min(1.0, abs(a[i, j]) * f[i, j])
+            want[i * k + j, i * k + j] = 1.0 - lam
+    return want
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        np.diag([0.6, 0.4, 0.0]),
+        np.outer(np.sqrt([0.5, 0.3, 0.2]), np.sqrt([0.5, 0.3, 0.2])),
+        np.outer(np.sqrt([0.6, 0.4 - 1e-13, 1e-13]), np.sqrt([0.6, 0.4 - 1e-13, 1e-13])),
+    ],
+    ids=["dead-index", "rank-one", "rank-one-coupled-to-dead-index"],
+)
+def test_kkt_check_maxcorr_k_matrix_matches_entrywise_reference(alpha):
+    report = kkt_check_maxcorr(alpha)
+    assert report.passed
+    assert np.abs(report.k_matrix - _maxcorr_reference_k(alpha)).max() <= 1e-14
 
 
 def test_kkt_check_maxcorr_validates_alpha():

@@ -66,12 +66,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+def _cell(value: object, precision: int) -> str:
+    """One output field: a bool as true/false, a float to ``precision``
+    significant digits, anything else through ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.{precision}g}"
+    return str(value)
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+def _write_csv(path: str, header: list[str], rows: list[list[object]], precision: int) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v, precision) for v in row] for row in rows)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -81,29 +90,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
     p = args.precision
     d = state.dims
     print(f"state: {args.state} ({d.total}x{d.total}, dims {d.d_a}x{d.d_b})")
-    print(f"bound_bits = {_fmt(result.bound_bits, p)}")
+    print(f"bound_bits = {_cell(result.bound_bits, p)}")
     print(
-        f"converged = {_flag(result.converged)}  iterations = {result.iterations}"
-        f"  grad_map_norm = {_fmt(result.final_grad_map_norm, p)}"
+        f"converged = {_cell(result.converged, p)}  iterations = {result.iterations}"
+        f"  grad_map_norm = {_cell(result.final_grad_map_norm, p)}"
     )
     eigs = np.linalg.eigvalsh(result.sigma_opt.matrix)
-    print("sigma_opt eigenvalues: " + " ".join(_fmt(v, p) for v in eigs))
-    if d.d_a == d.d_b:
+    print("sigma_opt eigenvalues: " + " ".join(_cell(v, p) for v in eigs))
+    if d.d_a == d.d_b >= 2:
         fid = entanglement_fidelity(result.sigma_opt.matrix, d.d_a)
-        print(f"sigma_opt entanglement fidelity = {_fmt(fid, p)}")
+        print(f"sigma_opt entanglement fidelity = {_cell(fid, p)}")
     if args.out is not None:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["state", "bound_bits", "converged", "iterations", "grad_map_norm"])
-            writer.writerow(
-                [
-                    args.state,
-                    _fmt(result.bound_bits, p),
-                    _flag(result.converged),
-                    result.iterations,
-                    _fmt(result.final_grad_map_norm, p),
-                ]
-            )
+        header = ["state", "bound_bits", "converged", "iterations", "grad_map_norm"]
+        row = [args.state, result.bound_bits, result.converged, result.iterations, result.final_grad_map_norm]
+        _write_csv(args.out, header, [row], p)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -119,61 +119,42 @@ def cmd_kkt(args: argparse.Namespace) -> int:
         rho, sigma = tensor(rho, rho), tensor(sigma, sigma)
     report = kkt_check(rho, sigma, tol=args.tol)
     p = args.precision
-    print(f"complementarity residual = {_fmt(report.complementarity_residual, p)}")
-    print(f"min eig K_Gamma = {_fmt(report.k_gamma_min_eig, p)}")
-    print(f"tolerance = {_fmt(args.tol, p)}")
+    print(f"complementarity residual = {_cell(report.complementarity_residual, p)}")
+    print(f"min eig K_Gamma = {_cell(report.k_gamma_min_eig, p)}")
+    print(f"tolerance = {_cell(args.tol, p)}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
 
-def _rows_nonadditivity(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    precision = args.precision
+def _rows_nonadditivity(args: argparse.Namespace) -> tuple[list[str], list[list[object]]]:
     rep = nonadditivity_experiment(restarts=args.restarts, seed=args.seed)
-    header = [
-        "b1_bits",
-        "b2_bits",
-        "gap_bits",
-        "kkt_single_passed",
-        "kkt_double_passed",
-        "converged",
-    ]
+    header = ["b1_bits", "b2_bits", "gap_bits", "kkt_single_passed", "kkt_double_passed", "converged"]
     row = [
-        _fmt(rep.b1_bits, precision),
-        _fmt(rep.b2_bits, precision),
-        _fmt(rep.gap_bits, precision),
-        _flag(rep.kkt_single.passed),
-        _flag(rep.kkt_double.passed),
-        _flag(rep.optimizer.converged),
+        rep.b1_bits,
+        rep.b2_bits,
+        rep.gap_bits,
+        rep.kkt_single.passed,
+        rep.kkt_double.passed,
+        rep.optimizer.converged,
     ]
-    print(f"gap_bits = {_fmt(rep.gap_bits, precision)}")
+    print(f"gap_bits = {_cell(rep.gap_bits, args.precision)}")
     if rep.restart_b2_bits:
-        print(f"b2_spread_bits = {_fmt(rep.b2_spread_bits, precision)}")
+        print(f"b2_spread_bits = {_cell(rep.b2_spread_bits, args.precision)}")
     return header, [row]
 
 
-def _rows_isotropic_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    precision = args.precision
+def _rows_isotropic_scan(args: argparse.Namespace) -> tuple[list[str], list[list[object]]]:
     header = ["k", "f", "closed_form_bits", "optimizer_bits", "abs_diff", "converged"]
     rows = []
     for k in ISOTROPIC_SCAN_K:
         for f in ISOTROPIC_SCAN_F:
             closed = isotropic_bound(k, f).bound_bits
             result = minimize_rel_entropy(isotropic(k, f))
-            rows.append(
-                [
-                    str(k),
-                    _fmt(f, precision),
-                    _fmt(closed, precision),
-                    _fmt(result.bound_bits, precision),
-                    _fmt(abs(result.bound_bits - closed), precision),
-                    _flag(result.converged),
-                ]
-            )
+            rows.append([k, f, closed, result.bound_bits, abs(result.bound_bits - closed), result.converged])
     return header, rows
 
 
-def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    precision = args.precision
+def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[object]]]:
     header = ["p1", "p2", "p3", "p4", "max_p", "is_ppt", "bound_bits"]
     rows = []
     n = BELL_SCAN_STEPS
@@ -181,25 +162,13 @@ def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[str]
         for j in range(n + 1 - i):
             for k in range(n + 1 - i - j):
                 p = np.array([i, j, k, n - i - j - k], dtype=float) / n
-                ppt = is_ppt(bell_diagonal(p))
-                bound = bell_z2_bound(p).bound_bits
-                rows.append(
-                    [
-                        *(_fmt(x, precision) for x in p),
-                        _fmt(float(p.max()), precision),
-                        _flag(ppt.ok),
-                        _fmt(bound, precision),
-                    ]
-                )
+                rows.append([*p, float(p.max()), is_ppt(bell_diagonal(p)).ok, bell_z2_bound(p).bound_bits])
     return header, rows
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     header, rows = args.rows(args)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(args.out, header, rows, args.precision)
     print(f"wrote {len(rows)} row(s) to {args.out}")
     return EXIT_OK
 
@@ -207,8 +176,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pptbound", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
 
-    p_bound = sub.add_parser("bound", help="minimize relative entropy over PPT states")
+    p_bound = sub.add_parser("bound", parents=[output], help="minimize relative entropy over PPT states")
     p_bound.add_argument("--state", required=True, help="state file (JSON)")
     p_bound.add_argument(
         "--tol", type=_tolerance, default=OptimizerConfig.grad_map_tol, help="gradient-map stopping tolerance"
@@ -217,10 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iters", type=_count(1), default=OptimizerConfig.max_iters, help="iteration cap"
     )
     p_bound.add_argument("--out", default=None, help="optional CSV output path")
-    p_bound.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
     p_bound.set_defaults(func=cmd_bound)
 
-    p_kkt = sub.add_parser("kkt", help="check an optimality certificate for a state pair")
+    p_kkt = sub.add_parser("kkt", parents=[output], help="check an optimality certificate for a state pair")
     p_kkt.add_argument("--rho", required=True, help="state file for the argument state")
     p_kkt.add_argument("--sigma", required=True, help="state file for the candidate optimum")
     p_kkt.add_argument("--tol", type=_tolerance, default=1e-8, help="certificate tolerance")
@@ -229,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the pair (rho x rho, sigma x sigma) instead",
     )
-    p_kkt.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
     p_kkt.set_defaults(func=cmd_kkt)
 
     p_exp = sub.add_parser("experiment", help="write a named experiment as CSV")
@@ -240,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("isotropic_scan", _rows_isotropic_scan, "optimizer against the closed form on isotropic states"),
         ("bell_scan", _rows_bell_scan, "PPT test and closed-form bound on Bell-diagonal states"),
     ):
-        p = experiments.add_parser(name, help=text)
+        p = experiments.add_parser(name, parents=[output], help=text)
         p.add_argument("--out", required=True, help="CSV output path")
-        p.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
         p.set_defaults(rows=rows)
     p_na = experiments.choices["nonadditivity"]
     p_na.add_argument(

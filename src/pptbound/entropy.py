@@ -25,10 +25,11 @@ def _entropy_of(w: np.ndarray) -> float:
 
 def shannon_entropy(p: np.ndarray) -> float:
     """Entropy of a probability vector in bits; weights <= DEFAULT_FLOOR are
-    skipped, and a non-finite weight raises ValueError."""
+    skipped.  ValueError unless every weight is finite and at least -1e-9
+    and they sum to 1 within 1e-9, the rounding that ``check_alpha`` allows."""
     w = np.asarray(p, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("probabilities must be finite")
+    if not np.isfinite(w).all() or (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"probabilities must be finite, >= -1e-9 and sum to 1 within 1e-9, got {w}")
     return max(0.0, _entropy_of(w) / LN2)
 
 

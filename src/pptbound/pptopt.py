@@ -28,10 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import LN2, entropy_nats, relative_entropy_nats
+from .entropy import LN2, entropy_nats
 from .linalg import (
     DEFAULT_FLOOR,
-    DEFAULT_SUPPORT_TOL,
     BipartiteDims,
     SpectralPoint,
     _spectraplex_project,
@@ -59,7 +58,7 @@ SPECTRAL_MAX = 1e10
 NONMONOTONE_MEMORY = 10
 # Eigenvalues of sigma at or under FACE_TOL form the face the search keeps
 # clear of: _evaluate rejects trial points where rho leaks onto them, and
-# _search_gradient freezes the ones rho does not touch.  It stays above
+# _search_gradient freezes them at the points that pass.  It stays above
 # DEFAULT_FLOOR: at DEFAULT_FLOOR, random 3x3 pure states take 142-774
 # iterations with up to 196 capped projections (46-128 with at most 4 at
 # 1e-8), and without the freeze random 2x2 pure states take up to 498
@@ -223,15 +222,16 @@ def _evaluate(
 
 
 def _search_gradient(point: SpectralPoint) -> np.ndarray:
-    """Gradient of the objective, restricted to the active face.
+    """Gradient of the objective at a point that passed :func:`_evaluate`,
+    restricted to the active face.
 
-    Directions where sigma is numerically zero and rho carries no support
-    are frozen: their divided-difference factors are huge but their true
-    contribution is bounded by the support weight, so keeping them only
+    Directions where sigma is at or under FACE_TOL are frozen; rho carries
+    at most DEFAULT_SUPPORT_TOL on each of them, or _evaluate would have
+    rejected the point.  Their divided-difference factors are huge but
+    their true contribution is bounded by that weight, so keeping them only
     injects noise that stalls the line search near singular optima.
     """
-    frozen = (point.eigenvalues <= FACE_TOL) & (point.weights <= DEFAULT_SUPPORT_TOL)
-    return point.gradient(frozen)
+    return point.gradient(point.eigenvalues <= FACE_TOL)
 
 
 def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
@@ -333,24 +333,24 @@ def minimize_rel_entropy(
         t = 1.0
         while t >= STEP_FLOOR:
             cand = sigma + t * d
-            f_new, point = _evaluate(rho_mat, cand, c0)
+            f_new, trial = _evaluate(rho_mat, cand, c0)
             if f_new <= reference - ARMIJO_C * t * slope:
                 break
             t *= BACKTRACK_RATIO
         else:
             break  # no acceptable step down to STEP_FLOOR: stop unconverged
-        grad_new = _search_gradient(point)
+        grad_new = _search_gradient(trial)
         ds = t * d
         curvature = float(np.vdot(ds, grad - grad_new).real)
         step = SPECTRAL_MAX
         if curvature > 0.0:
             step = min(max(frobenius(ds) ** 2 / curvature, SPECTRAL_MIN), SPECTRAL_MAX)
-        sigma, f_cur, grad = cand, f_new, grad_new
+        sigma, f_cur, grad, point = cand, f_new, grad_new, trial
         history.append(f_cur)
-    low = float(np.linalg.eigvalsh(sigma)[0])
+    low = float(point.eigenvalues[0])
     if low <= DEFAULT_FLOOR:
         sigma = _mix_with_identity(sigma, low)
-        f_cur = relative_entropy_nats(rho_mat, sigma)
+        f_cur, _ = _evaluate(rho_mat, sigma, c0)
     return OptimizerResult(
         bound_bits=f_cur / LN2,
         sigma_opt=DensityMatrix(matrix=sigma, dims=dims),

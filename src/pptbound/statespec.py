@@ -6,9 +6,10 @@ A state file is a single JSON object in one of two shapes:
 * family:   ``{"family": "isotropic", "params": {"k": 2, "f": 0.75}}``
 
 Complex entries are written as ``[re, im]`` pairs; a bare number is accepted
-on input and read as a real entry.  Explicit matrices are admitted when they
-are Hermitian, unit-trace, and positive semidefinite to within ``FILE_TOL``,
-then replaced by the Frobenius-nearest unit-trace PSD matrix.  Files that
+on input and read as a real entry.  Every number must be finite as a float.
+Explicit matrices are admitted when they are Hermitian, unit-trace, and
+positive semidefinite to within ``FILE_TOL``, then replaced by the
+Frobenius-nearest unit-trace PSD matrix.  Files that
 already satisfy the in-memory invariants pass through untouched, so a
 dump/load cycle preserves every entry bit for bit.
 """
@@ -16,6 +17,7 @@ dump/load cycle preserves every entry bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -33,62 +35,58 @@ from .states import (
 
 FILE_TOL = 1e-9
 
-FAMILY_NAMES = (
-    "isotropic",
-    "bell_diagonal",
-    "max_correlated",
-    "pure",
-    "counterexample_rho",
-    "counterexample_sigma",
-)
-
 
 class StateSpecError(ValueError):
     """A state file failed to parse or violates a stated invariant."""
 
 
-def _as_complex(entry: Any, where: str) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        value = complex(float(entry), 0.0)
-    elif (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        value = complex(float(entry[0]), float(entry[1]))
-    else:
-        raise StateSpecError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise StateSpecError(f"{where}: entry is not finite: {entry!r}")
+def _number(x: Any, where: str) -> float:
+    """``x`` as a finite float; a bool, a non-number or a value outside the
+    float range (such as a huge integer literal) raises StateSpecError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise StateSpecError(f"{where} must be a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise StateSpecError(f"{where} is not finite")
     return value
 
 
-def _parse_matrix(rows: Any, label: str) -> np.ndarray:
+def _integer(x: Any, low: int, where: str) -> int:
+    """``x`` as an integer of at least ``low``, read through :func:`_number`."""
+    if not isinstance(x, int) or _number(x, where) < low:
+        raise StateSpecError(f"{where} must be an integer >= {low}, got {x!r}")
+    return x
+
+
+def _entry(x: Any, where: str) -> complex:
+    """A bare real number or an ``[re, im]`` pair."""
+    if not isinstance(x, list):
+        return complex(_number(x, where), 0.0)
+    if len(x) != 2:
+        raise StateSpecError(f"{where}: expected an [re, im] pair, got {x!r}")
+    return complex(_number(x[0], where), _number(x[1], where))
+
+
+def _vector(values: Any, label: str) -> np.ndarray:
+    if not isinstance(values, list) or not values:
+        raise StateSpecError(f"'{label}' must be a non-empty list of numbers")
+    return np.array([_number(v, f"'{label}'[{i}]") for i, v in enumerate(values)])
+
+
+def _matrix(rows: Any, label: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise StateSpecError(f"'{label}' must be a non-empty list of rows")
     n = len(rows)
-    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise StateSpecError(
-                f"'{label}' row {i} must be a list of {n} entries to match {n} rows"
-            )
-        for j, entry in enumerate(row):
-            out[i, j] = _as_complex(entry, f"'{label}'[{i}][{j}]")
-    return out
-
-
-def _real_vector(values: Any, label: str) -> np.ndarray:
-    if not isinstance(values, list) or not values:
-        raise StateSpecError(f"'{label}' must be a non-empty list of numbers")
-    out = np.zeros(len(values), dtype=float)
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise StateSpecError(f"'{label}'[{i}] must be a number, got {v!r}")
-        out[i] = float(v)
-    if not np.all(np.isfinite(out)):
-        raise StateSpecError(f"'{label}' contains a non-finite value")
-    return out
+            raise StateSpecError(f"'{label}' row {i} must be a list of {n} entries to match {n} rows")
+    return np.array(
+        [[_entry(x, f"'{label}'[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)],
+        dtype=complex,
+    )
 
 
 def _explicit_state(spec: dict) -> DensityMatrix:
@@ -96,19 +94,15 @@ def _explicit_state(spec: dict) -> DensityMatrix:
     if extra:
         raise StateSpecError(f"unknown keys {sorted(extra)} alongside 'matrix'")
     dims = spec.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
+    if not isinstance(dims, list) or len(dims) != 2:
         raise StateSpecError("'dims' must be a pair of positive integers [d_a, d_b]")
-    d_a, d_b = dims
-    m = _parse_matrix(spec["matrix"], "matrix")
+    d_a, d_b = (_integer(d, 1, f"'dims'[{i}]") for i, d in enumerate(dims))
+    m = _matrix(spec["matrix"], "matrix")
     if m.shape[0] != d_a * d_b:
         raise StateSpecError(
             f"matrix is {m.shape[0]}x{m.shape[0]} but dims {d_a}x{d_b} require {d_a * d_b}"
         )
-    dims = BipartiteDims(int(d_a), int(d_b))
+    dims = BipartiteDims(d_a, d_b)
     candidate = DensityMatrix(matrix=m, dims=dims)
     try:
         candidate.validate(FILE_TOL)
@@ -129,6 +123,19 @@ def _explicit_state(spec: dict) -> DensityMatrix:
     return state
 
 
+# Family name -> constructor from the ``params`` object.
+FAMILIES = {
+    "isotropic": lambda p: isotropic(
+        _integer(p.get("k"), 2, "isotropic: 'k'"), _number(p.get("f"), "isotropic: 'f'")
+    ),
+    "bell_diagonal": lambda p: bell_diagonal(_vector(p.get("probs"), "probs")),
+    "max_correlated": lambda p: max_correlated(_matrix(p.get("alpha"), "alpha")),
+    "pure": lambda p: pure_state(_vector(p.get("schmidt"), "schmidt")),
+    "counterexample_rho": lambda p: counterexample_pair()[0],
+    "counterexample_sigma": lambda p: counterexample_pair()[1],
+}
+
+
 def _family_state(spec: dict) -> DensityMatrix:
     extra = set(spec) - {"family", "params"}
     if extra:
@@ -137,32 +144,14 @@ def _family_state(spec: dict) -> DensityMatrix:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise StateSpecError("'params' must be an object")
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise StateSpecError(f"unknown family {name!r}; expected one of {', '.join(FAMILIES)}")
     try:
-        if name == "isotropic":
-            k = params.get("k")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-                raise StateSpecError("isotropic: 'k' must be an integer >= 2")
-            f = params.get("f")
-            if not isinstance(f, (int, float)) or isinstance(f, bool):
-                raise StateSpecError("isotropic: 'f' must be a number")
-            return isotropic(k, float(f))
-        if name == "bell_diagonal":
-            return bell_diagonal(_real_vector(params.get("probs"), "probs"))
-        if name == "max_correlated":
-            if "alpha" not in params:
-                raise StateSpecError("max_correlated: missing 'alpha' matrix")
-            return max_correlated(_parse_matrix(params["alpha"], "alpha"))
-        if name == "pure":
-            return pure_state(_real_vector(params.get("schmidt"), "schmidt"))
-        if name == "counterexample_rho":
-            return counterexample_pair()[0]
-        if name == "counterexample_sigma":
-            return counterexample_pair()[1]
+        return FAMILIES[name](params)
     except StateSpecError:
         raise
     except ValueError as exc:
         raise StateSpecError(f"family '{name}': {exc}") from exc
-    raise StateSpecError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
 
 
 def spec_to_state(spec: Any) -> DensityMatrix:

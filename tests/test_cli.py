@@ -12,7 +12,7 @@ import pytest
 from pptbound.cli import main
 from pptbound.formulas import isotropic_bound
 
-RUN = [sys.executable, "-m", "pptbound"]
+RUN = [sys.executable, "-W", "error", "-m", "pptbound"]
 
 
 def run_cli(*args):
@@ -64,6 +64,16 @@ def test_bound_ppt_input_is_zero(pair_files):
     proc = run_cli("bound", "--state", sigma)
     assert proc.returncode == 0
     assert float(grab(r"bound_bits = ([-\d.eE+]+)", proc.stdout)) == 0.0
+
+
+@pytest.mark.parametrize("dims", [[1, 1], [1, 2]])
+def test_bound_prints_fidelity_only_for_equal_dims_of_two_or_more(dims, tmp_path, capsys):
+    n = dims[0] * dims[1]
+    state = write_spec(tmp_path / "s.json", {"dims": dims, "matrix": (np.eye(n) / n).tolist()})
+    assert main(["bound", "--state", state]) == 0
+    out = capsys.readouterr().out
+    assert "bound_bits = 0" in out
+    assert "entanglement fidelity" not in out
 
 
 def test_bound_precision_flag(iso_file):

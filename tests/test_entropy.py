@@ -32,6 +32,16 @@ def test_shannon_entropy_rejects_non_finite_weights(bad):
         shannon_entropy(np.array([bad, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [[-0.5, 1.5], [2.0], [0.5, 0.6], [0.5, -2e-9, 0.5 + 2e-9]])
+def test_shannon_entropy_rejects_non_probability_vectors(bad):
+    with pytest.raises(ValueError, match="probabilit"):
+        shannon_entropy(np.array(bad))
+
+
+def test_shannon_entropy_accepts_rounding_off_the_simplex():
+    assert shannon_entropy(np.array([0.5 + 5e-10, 0.5, -5e-10])) == pytest.approx(1.0, abs=1e-8)
+
+
 @given(st.integers(0, 10_000), st.integers(2, 12))
 @settings(max_examples=50, deadline=None)
 def test_shannon_entropy_range(seed, n):

@@ -215,8 +215,9 @@ def test_minimize_accepts_warm_start():
         _tilted_sigma(),
         isotropic(3, 0.5),
         DensityMatrix(matrix=np.eye(9) / 9, dims=DIMS22),
+        density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]), DIMS22),
     ],
-    ids=["nan", "non-hermitian", "other-dims", "wrong-size"],
+    ids=["nan", "non-hermitian", "other-dims", "wrong-size", "off-support"],
 )
 def test_minimize_rejects_bad_initial(initial):
     with pytest.raises(ValueError, match="initial"):
@@ -352,6 +353,12 @@ def test_kkt_check_rejects_singular_sigma():
     singular = density_matrix(np.diag([0.5, 0.5, 0.0, 0.0]), DIMS22)
     with pytest.raises(ValueError, match="kkt_check_maxcorr"):
         kkt_check(rho, singular)
+
+
+@pytest.mark.parametrize("check", [kkt_check, additivity_check])
+def test_pair_checks_reject_mismatched_dims(check):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check(isotropic(2, 0.9), isotropic(3, 0.5))
 
 
 def test_kkt_check_maxcorr_random_alphas():

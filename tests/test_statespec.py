@@ -83,13 +83,22 @@ def test_unknown_family_and_bad_shapes():
         spec_to_state({"family": "bell_diagonal", "params": {"probs": "nope"}})
     with pytest.raises(StateSpecError, match="family 'pure'"):
         spec_to_state({"family": "pure", "params": {"schmidt": [0.8, 0.1]}})
+    with pytest.raises(StateSpecError, match=r"'probs'\[1\] must be a number"):
+        spec_to_state({"family": "bell_diagonal", "params": {"probs": [0.5, "x", 0.25, 0.25]}})
+    with pytest.raises(StateSpecError, match="'params' must be an object"):
+        spec_to_state({"family": "isotropic", "params": [2, 0.5]})
+    with pytest.raises(StateSpecError, match="'f' must be a number"):
+        spec_to_state({"family": "isotropic", "params": {"k": 2, "f": "x"}})
+    with pytest.raises(StateSpecError, match="'alpha'"):
+        spec_to_state({"family": "max_correlated", "params": {}})
 
 
 def test_explicit_requires_consistent_dims():
     spec = state_to_spec(isotropic(2, 0.5))
-    spec["dims"] = [2, 3]
-    with pytest.raises(StateSpecError, match="dims"):
-        spec_to_state(spec)
+    for dims in ([2, 3], [True, 4], [0, 4], [2, 2, 1]):
+        spec["dims"] = dims
+        with pytest.raises(StateSpecError, match="dims"):
+            spec_to_state(spec)
 
 
 def test_explicit_validation_names_invariant():
@@ -121,6 +130,17 @@ def test_explicit_rejects_malformed_entries():
         spec_to_state(
             {"dims": [1, 2], "matrix": [[float("nan"), 0.0], [0.0, 1.0]]}
         )
+    with pytest.raises(StateSpecError, match="'matrix' must be a non-empty list of rows"):
+        spec_to_state({"dims": [2, 2], "matrix": "rows"})
+
+
+def test_oversized_integer_is_not_finite(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dims": [1, 1], "matrix": [[1' + "0" * 400 + "]]}")
+    with pytest.raises(StateSpecError, match=r"'matrix'\[0\]\[0\].*not finite"):
+        load_state(path)
+    with pytest.raises(StateSpecError, match=r"'probs'\[0\].*not finite"):
+        spec_to_state({"family": "bell_diagonal", "params": {"probs": [10**400, 0, 0, 0]}})
 
 
 def test_top_level_shape_errors():
@@ -132,6 +152,8 @@ def test_top_level_shape_errors():
         spec_to_state({"dims": [2, 2]})
     with pytest.raises(StateSpecError, match="unknown keys"):
         spec_to_state({"family": "isotropic", "params": {"k": 2, "f": 0.5}, "comment": "x"})
+    with pytest.raises(StateSpecError, match="unknown keys"):
+        spec_to_state({"dims": [1, 1], "matrix": [[1.0]], "comment": "x"})
 
 
 def test_syntax_error_is_line_localized(tmp_path):

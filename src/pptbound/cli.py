@@ -19,7 +19,7 @@ import numpy as np
 
 from .formulas import bell_z2_bound, isotropic_bound, nonadditivity_experiment
 from .pptopt import OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy
-from .statespec import StateSpecError, load_state
+from .statespec import load_state
 from .states import bell_diagonal, entanglement_fidelity, isotropic, tensor
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     result = minimize_rel_entropy(state, cfg)
     p = args.precision
     d = state.dims
-    print(f"state: {args.state} ({d.total}x{d.total}, dims {d.d_a}x{d.d_b})")
+    print(f"state: {args.state} ({d.total}x{d.total}, dims {d})")
     print(f"bound_bits = {_cell(result.bound_bits, p)}")
     print(
         f"converged = {_cell(result.converged, p)}  iterations = {result.iterations}"
@@ -110,11 +110,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_kkt(args: argparse.Namespace) -> int:
     rho = load_state(args.rho)
     sigma = load_state(args.sigma)
-    if rho.dims != sigma.dims:
-        raise StateSpecError(
-            f"dimension mismatch: rho is {rho.dims.d_a}x{rho.dims.d_b}, "
-            f"sigma is {sigma.dims.d_a}x{sigma.dims.d_b}"
-        )
     if args.tensor_square:
         rho, sigma = tensor(rho, rho), tensor(sigma, sigma)
     report = kkt_check(rho, sigma, tol=args.tol)
@@ -226,7 +221,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StateSpecError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

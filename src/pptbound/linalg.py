@@ -35,6 +35,9 @@ class BipartiteDims:
         if self.d_a < 1 or self.d_b < 1:
             raise ValueError(f"local dimensions must be positive, got ({self.d_a}, {self.d_b})")
 
+    def __str__(self) -> str:
+        return f"{self.d_a}x{self.d_b}"
+
     @property
     def total(self) -> int:
         return self.d_a * self.d_b
@@ -59,7 +62,7 @@ def check_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 def check_dims(m: np.ndarray, dims: BipartiteDims, what: str = "matrix") -> np.ndarray:
     a = check_square(m, what)
     if a.shape[0] != dims.total:
-        raise ValueError(f"{what} of size {a.shape[0]} does not match dims {dims.d_a}x{dims.d_b}")
+        raise ValueError(f"{what} of size {a.shape[0]} does not match dims {dims}")
     return a
 
 
@@ -118,7 +121,7 @@ class SpectralPoint:
     def cross(self) -> float:
         """Tr(rho ln sigma) over the eigenvalues above DEFAULT_FLOOR."""
         live = self.eigenvalues > DEFAULT_FLOOR
-        return float(self.weights[live] @ np.log(self.eigenvalues[live])) if live.any() else 0.0
+        return float(self.weights[live] @ np.log(self.eigenvalues[live]))
 
     def gradient(self, freeze: np.ndarray | None = None) -> np.ndarray:
         """Gradient of sigma -> Tr(rho ln sigma) as a Hermitian matrix.
@@ -131,9 +134,8 @@ class SpectralPoint:
         s, v = self.eigenvalues, self.eigenvectors
         f = divided_difference_log(s)
         kernel = s <= DEFAULT_FLOOR
-        if kernel.any():
-            f[np.outer(kernel, kernel)] = 0.0
-        if freeze is not None and freeze.any():
+        f[np.outer(kernel, kernel)] = 0.0
+        if freeze is not None:
             f[freeze, :] = 0.0
             f[:, freeze] = 0.0
         return hermitianize(v @ (self.rho_t * f) @ v.conj().T)

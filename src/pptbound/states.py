@@ -180,7 +180,7 @@ def bell_twirl(state: DensityMatrix) -> DensityMatrix:
     """Pinch a two-qubit state to the Bell-diagonal algebra: the average of
     U x conj(U) rho (U x conj(U))^dag over the Paulis U in {I, X, Z, XZ}."""
     if (state.dims.d_a, state.dims.d_b) != (2, 2):
-        raise ValueError(f"bell twirl needs dims 2x2, got {state.dims.d_a}x{state.dims.d_b}")
+        raise ValueError(f"bell twirl needs dims 2x2, got {state.dims}")
     weights = np.real(np.einsum("ik,ij,jk->k", BELL_BASIS.conj(), state.matrix, BELL_BASIS))
     m = (BELL_BASIS * weights) @ BELL_BASIS.conj().T
     return DensityMatrix(matrix=hermitianize(m), dims=state.dims)

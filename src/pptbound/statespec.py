@@ -98,10 +98,6 @@ def _explicit_state(spec: dict) -> DensityMatrix:
         raise StateSpecError("'dims' must be a pair of positive integers [d_a, d_b]")
     d_a, d_b = (_integer(d, 1, f"'dims'[{i}]") for i, d in enumerate(dims))
     m = _matrix(spec["matrix"], "matrix")
-    if m.shape[0] != d_a * d_b:
-        raise StateSpecError(
-            f"matrix is {m.shape[0]}x{m.shape[0]} but dims {d_a}x{d_b} require {d_a * d_b}"
-        )
     dims = BipartiteDims(d_a, d_b)
     candidate = DensityMatrix(matrix=m, dims=dims)
     try:
@@ -175,14 +171,15 @@ def state_to_spec(state: DensityMatrix) -> dict:
 
 
 def load_state(path: str | Path) -> DensityMatrix:
-    """Parse and validate the state file at ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse and validate the state file at ``path``.  A file that is not
+    UTF-8 or not JSON, or that holds an integer literal too long to convert,
+    raises StateSpecError naming the path."""
     try:
-        spec = json.loads(text)
+        spec = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise StateSpecError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise StateSpecError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise StateSpecError(f"{path}: {exc}") from exc
     try:
         return spec_to_state(spec)
     except StateSpecError as exc:

@@ -97,6 +97,19 @@ def test_bound_malformed_file_exit_code(tmp_path):
     assert "line 2" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"family": "isotropic"}\xff', b'{"dims": [1, 1], "matrix": [[1' + b"0" * 5000 + b"]]}"],
+    ids=["not-utf8", "int-over-4300-digits"],
+)
+def test_bound_undecodable_file_exit_code(tmp_path, payload):
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(payload)
+    proc = run_cli("bound", "--state", str(bad))
+    assert proc.returncode == 1
+    assert f"error: {bad}: " in proc.stderr
+
+
 def test_bound_invalid_state_names_invariant(tmp_path):
     m = (np.eye(4) * 0.5).tolist()
     spec = {"dims": [2, 2], "matrix": [[[v, 0.0] for v in row] for row in m]}
@@ -154,7 +167,15 @@ def test_kkt_dimension_mismatch(tmp_path, pair_files):
     other = write_spec(tmp_path / "k3.json", {"family": "isotropic", "params": {"k": 3, "f": 0.9}})
     proc = run_cli("kkt", "--rho", rho, "--sigma", other)
     assert proc.returncode == 1
-    assert "dimension mismatch" in proc.stderr
+    assert "error: dimension mismatch: rho 2x2, sigma 3x3" in proc.stderr
+
+
+def test_cli_import_loads_no_test_extra():
+    # The runtime needs numpy only; the test extras must not leak into it.
+    code = "import sys, pptbound.cli; print(*sorted({'pytest', 'hypothesis', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_experiment_bell_scan_csv(tmp_path):

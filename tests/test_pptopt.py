@@ -357,26 +357,27 @@ def test_kkt_check_rejects_singular_sigma():
 
 @pytest.mark.parametrize("check", [kkt_check, additivity_check])
 def test_pair_checks_reject_mismatched_dims(check):
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match="dimension mismatch: rho 2x2, sigma 3x3"):
         check(isotropic(2, 0.9), isotropic(3, 0.5))
 
 
 def test_kkt_check_maxcorr_random_alphas():
     rng = np.random.default_rng(24)
     for k in (2, 3):
-        for _ in range(5):
-            a = hermitianize(random_density(rng, k))
-            report = kkt_check_maxcorr(a)
-            assert report.passed
-            assert report.scalar_margin is not None and report.scalar_margin >= -1e-12
-            assert report.l_min_eig >= -1e-10
-            assert report.sigma_l_residual <= 1e-10
+        off = ~np.eye(k, dtype=bool)
+        for rank in range(1, k + 1):
+            for _ in range(5):
+                a = hermitianize(random_density(rng, k, rank))
+                report = kkt_check_maxcorr(a)
+                assert report.passed
+                # K is 1 - lambda_ij on |ij>, i != j, so this is L >= 0 (and lambda <= 1).
+                k_off = np.real(np.diag(report.k_matrix)).reshape(k, k)[off]
+                assert k_off.min() >= 0.0 and k_off.max() <= 1.0
 
 
 def test_kkt_check_maxcorr_diagonal_alpha_boundary():
     report = kkt_check_maxcorr(np.diag([0.6, 0.4]))
     assert report.passed
-    assert report.scalar_margin == pytest.approx(1.0 - np.sqrt(0.24) * (np.log(0.6) - np.log(0.4)) / 0.2, abs=1e-12)
 
 
 def _maxcorr_reference_k(alpha):

@@ -1,6 +1,7 @@
 """State file serialization: round trips, family dispatch, and error reporting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ def test_oversized_integer_is_not_finite(tmp_path):
         load_state(path)
     with pytest.raises(StateSpecError, match=r"'probs'\[0\].*not finite"):
         spec_to_state({"family": "bell_diagonal", "params": {"probs": [10**400, 0, 0, 0]}})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"dims": [1, 1], "matrix": [[1.0]]}\xff', b'{"dims": [1, 1], "matrix": [[1' + b"0" * 5000 + b"]]}"],
+    ids=["not-utf8", "int-over-4300-digits"],
+)
+def test_undecodable_file_names_the_path(tmp_path, payload):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(payload)
+    with pytest.raises(StateSpecError, match=re.escape(str(path))):
+        load_state(path)
 
 
 def test_top_level_shape_errors():

@@ -44,8 +44,7 @@ from .linalg import (
 )
 from .states import DensityMatrix, max_correlated, phase_mask
 
-# Spectral step of the first iteration.
-STEP_INIT = 1.0
+# First spectral step 1/n: the gradient at I/n is n rho, so the move is rho.
 # Armijo sufficient-decrease constant and backtracking factor of the search.
 ARMIJO_C = 1e-4
 BACKTRACK_RATIO = 0.5
@@ -254,13 +253,14 @@ def minimize_rel_entropy(
 
     Spectral projected gradient from the maximally mixed state (or from
     ``initial``).  With G the gradient of Tr(rho ln sigma) and s the
-    spectral step (STEP_INIT at first), each iteration projects
-    once to get the direction d = P(sigma + s G) - sigma.  Its scaled norm
-    ``grad_map`` = |d| / min(s, 1) bounds the unit-step gradient map
-    |P(sigma + G) - sigma| from above, because |P(x + s G) - x| does not
-    decrease in s while |P(x + s G) - x| / s does not increase; the run
-    reports ``converged`` only when ``grad_map`` is at most
-    ``cfg.grad_map_tol``.  Otherwise a nonmonotone Armijo search tries
+    spectral step, 1/n at first (n = dim sigma; G = n rho at I/n, so the
+    first trial point is I/n + rho, not a matrix of trace n + 1), each
+    iteration projects once to get the direction d = P(sigma + s G) - sigma.
+    Its scaled norm ``grad_map`` = |d| / min(s, 1) bounds the unit-step
+    gradient map |P(sigma + G) - sigma| from above, because
+    |P(x + s G) - x| does not decrease in s while |P(x + s G) - x| / s does
+    not increase; the run reports ``converged`` only when ``grad_map`` is at
+    most ``cfg.grad_map_tol``.  Otherwise a nonmonotone Armijo search tries
     sigma + t d for t = 1, BACKTRACK_RATIO, ... down to STEP_FLOOR
     against the largest of the last NONMONOTONE_MEMORY accepted values,
     and the next s is the Barzilai-Borwein ratio <ds, ds> / <ds, -dG>,
@@ -277,14 +277,14 @@ def minimize_rel_entropy(
     face this keeps the iterate off the directions rho does not couple to,
     where the support wall would otherwise stall the search.  Any feasible
     iterate gives a valid upper bound, so the returned value is certified
-    from above even when the convergence flag is false.  A final sigma with an eigenvalue at or
-    under DEFAULT_FLOOR is mixed with enough of I/n to outweigh any
-    negative eigenvalue (at least FINAL_MIX), which keeps it PPT, and the
-    bound is the relative entropy at the mixed sigma.  Projections that
-    used up their cycle budget are counted in ``capped_projections``, and
-    the largest positivity deficiency any projection left is
-    ``max_projection_residual``.  An ``initial`` that is not a finite
-    Hermitian matrix of rho's dimensions raises ValueError.
+    from above even when the convergence flag is false.  A final sigma with
+    an eigenvalue at or under DEFAULT_FLOOR is mixed with enough of I/n to
+    outweigh any negative eigenvalue (at least FINAL_MIX), which keeps it
+    PPT, and the bound is the relative entropy at the mixed sigma, with no
+    FACE_TOL wall.  Projections that used up their cycle budget are counted
+    in ``capped_projections``, and the largest positivity deficiency any
+    projection left is ``max_projection_residual``.  An ``initial`` that is
+    not a finite Hermitian matrix of rho's dimensions raises ValueError.
     """
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
@@ -317,7 +317,7 @@ def minimize_rel_entropy(
     if point is None:
         raise ValueError("initial iterate violates the support condition")
     grad = _search_gradient(point)
-    step = STEP_INIT
+    step = 1.0 / n
     history = deque([f_cur], maxlen=NONMONOTONE_MEMORY)
     converged = False
     grad_map = math.inf
@@ -350,7 +350,7 @@ def minimize_rel_entropy(
     low = float(point.eigenvalues[0])
     if low <= DEFAULT_FLOOR:
         sigma = _mix_with_identity(sigma, low)
-        f_cur, _ = _evaluate(rho_mat, sigma, c0)
+        f_cur = c0 - SpectralPoint(rho_mat, sigma).cross()
     return OptimizerResult(
         bound_bits=f_cur / LN2,
         sigma_opt=DensityMatrix(matrix=sigma, dims=dims),

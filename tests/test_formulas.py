@@ -142,7 +142,7 @@ def test_two_copy_solve_stops_on_certificate():
     rep = nonadditivity_experiment(EXPERIMENT_CONFIG)
     assert rep.optimizer.converged
     assert rep.optimizer.final_grad_map_norm <= 1e-9
-    assert rep.optimizer.iterations <= 100
+    assert rep.optimizer.iterations <= 25
 
 
 def test_two_copy_solve_projection_cycles(monkeypatch):
@@ -156,7 +156,7 @@ def test_two_copy_solve_projection_cycles(monkeypatch):
 
     monkeypatch.setattr(pptopt, "project_ppt", counted)
     nonadditivity_experiment(EXPERIMENT_CONFIG)
-    assert sum(cycles) <= 250
+    assert sum(cycles) <= 80
 
 
 def test_nonadditivity_experiment_report():

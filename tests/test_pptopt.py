@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density, random_hermitian
-from pptbound.entropy import relative_entropy
+from pptbound.entropy import relative_entropy, shannon_entropy
 from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pure_state_bound
 from pptbound.linalg import (
     DEFAULT_FLOOR,
@@ -294,6 +294,23 @@ def test_minimize_degenerate_pure_states_converge(p):
     res = minimize_rel_entropy(pure_state(p))
     assert res.converged
     assert pure_state_bound(p).bound_bits <= res.bound_bits <= pure_state_bound(p).bound_bits + 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minimize_bound_is_finite_on_random_pure_states(seed):
+    # rho = g g^dag with g a complex Gaussian of default_rng(9010 + seed).
+    # The final mix leaves sigma positive definite with its least eigenvalue
+    # near 1e-10, under the line search's FACE_TOL wall; the bound there is
+    # still the finite relative entropy.  The cap keeps the solves short.
+    rng = np.random.default_rng(9010 + seed)
+    g = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    g /= np.linalg.norm(g)
+    rho = density_matrix(np.outer(g, g.conj()), BipartiteDims(3, 3))
+    schmidt = np.linalg.svd(g.reshape(3, 3), compute_uv=False) ** 2
+    res = minimize_rel_entropy(rho, OptimizerConfig(max_iters=40))
+    assert np.isfinite(res.bound_bits)
+    assert res.bound_bits == pytest.approx(relative_entropy(rho, res.sigma_opt), abs=1e-9)
+    assert res.bound_bits >= shannon_entropy(schmidt) - 1e-9
 
 
 def test_final_mix_outweighs_negative_eigenvalue():

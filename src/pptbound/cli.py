@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .formulas import bell_z2_bound, isotropic_bound, nonadditivity_experiment
-from .pptopt import OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy
+from .pptopt import CERT_TOL, OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy
 from .statespec import load_state
 from .states import bell_diagonal, entanglement_fidelity, isotropic, tensor
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kkt = sub.add_parser("kkt", parents=[output], help="check an optimality certificate for a state pair")
     p_kkt.add_argument("--rho", required=True, help="state file for the argument state")
     p_kkt.add_argument("--sigma", required=True, help="state file for the candidate optimum")
-    p_kkt.add_argument("--tol", type=_tolerance, default=1e-8, help="certificate tolerance")
+    p_kkt.add_argument("--tol", type=_tolerance, default=CERT_TOL, help="certificate tolerance")
     p_kkt.add_argument(
         "--tensor-square",
         action="store_true",

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .linalg import DEFAULT_FLOOR, SpectralPoint, hermitianize, require_hermitian
-from .states import DensityMatrix
+from .states import DensityMatrix, check_probabilities
 
 LN2 = math.log(2.0)
 
@@ -24,12 +24,10 @@ def _entropy_of(w: np.ndarray) -> float:
 
 
 def shannon_entropy(p: np.ndarray) -> float:
-    """Entropy of a probability vector in bits; weights <= DEFAULT_FLOOR are
-    skipped.  ValueError unless every weight is finite and at least -1e-9
-    and they sum to 1 within 1e-9, the rounding that ``check_alpha`` allows."""
-    w = np.asarray(p, dtype=float)
-    if not np.isfinite(w).all() or (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must be finite, >= -1e-9 and sum to 1 within 1e-9, got {w}")
+    """Entropy in bits of a probability vector of any length, admitted by
+    :func:`~pptbound.states.check_probabilities`; weights <= DEFAULT_FLOOR
+    are skipped."""
+    w = check_probabilities(p, "probabilities", size=np.size(p))
     return max(0.0, _entropy_of(w) / LN2)
 
 

@@ -69,14 +69,9 @@ def bell_z2_bound(p: np.ndarray) -> ClosedFormResult:
     if a <= 0.5:
         return ClosedFormResult(bound_bits=0.0, sigma_opt=bell_diagonal(w))
     value = 1.0 + _xlog2x(a) + _xlog2x(1.0 - a)
-    rest = 1.0 - a
-    if rest > 1e-15:
-        q = w / (2.0 * rest)
-    else:
-        q = np.full(4, 1.0 / 6.0)
+    rest = float(np.delete(w, top).sum())
+    q = w / (2.0 * rest) if rest > 1e-15 else np.full(4, 1.0 / 6.0)
     q[top] = 0.5
-    q = np.clip(q, 0.0, None)
-    q /= q.sum()
     return ClosedFormResult(bound_bits=value, sigma_opt=bell_diagonal(q))
 
 
@@ -85,18 +80,15 @@ def maxcorr_bound(alpha: np.ndarray) -> ClosedFormResult:
     the entropy of the diagonal of alpha minus the entropy of alpha, with
     the diagonal-only state as the optimizer."""
     a = check_alpha(alpha)
-    diag = np.clip(np.real(np.diag(a)), 0.0, None)
+    diag = np.real(np.diag(a))
     value = shannon_entropy(diag) - shannon_entropy(np.linalg.eigvalsh(a))
-    sigma = max_correlated(np.diag(diag) / diag.sum())
-    return ClosedFormResult(bound_bits=value, sigma_opt=sigma)
+    return ClosedFormResult(bound_bits=value, sigma_opt=max_correlated(np.diag(diag)))
 
 
 def pure_state_bound(schmidt: np.ndarray) -> ClosedFormResult:
     """Exact bound for a pure state: the entropy of its Schmidt weights."""
     p = check_probabilities(schmidt, "Schmidt coefficients")
-    q = np.clip(p, 0.0, None)
-    sigma = max_correlated(np.diag(q / q.sum()))
-    return ClosedFormResult(bound_bits=shannon_entropy(p), sigma_opt=sigma)
+    return ClosedFormResult(bound_bits=shannon_entropy(p), sigma_opt=max_correlated(np.diag(p)))
 
 
 @dataclass(eq=False)
@@ -136,10 +128,10 @@ def nonadditivity_experiment(
     cfg = cfg or EXPERIMENT_CONFIG
     rho, sigma = counterexample_pair()
     b1 = relative_entropy(rho, sigma)
-    kkt_single = kkt_check(rho, sigma, tol=1e-8)
+    kkt_single = kkt_check(rho, sigma)
     rho2 = tensor(rho, rho)
     sigma2 = tensor(sigma, sigma)
-    kkt_double = kkt_check(rho2, sigma2, tol=1e-8)
+    kkt_double = kkt_check(rho2, sigma2)
     result = minimize_rel_entropy(rho2, cfg)
     rng = np.random.default_rng(seed)
     n = rho2.dim

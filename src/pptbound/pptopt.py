@@ -71,9 +71,9 @@ FINAL_MIX = 1e-9
 # between its two iterates and the move of the returned one.
 DYKSTRA_ITERS = 5000
 DYKSTRA_TOL = 1e-11
-# Tolerance on the commutator norm and on the eigenvalue bounds of
+# Tolerance of the certificates: is_ppt, both KKT checks and
 # additivity_check.
-ADDITIVITY_TOL = 1e-8
+CERT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _gamma_min_eig(m: np.ndarray, dims: BipartiteDims) -> float:
     return float(np.linalg.eigvalsh(hermitianize(partial_transpose(m, dims)))[0])
 
 
-def is_ppt(rho: DensityMatrix, tol: float = 1e-8) -> PptCheck:
+def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
     """Whether the partial transpose of rho, which must be Hermitian, is PSD."""
     low = _gamma_min_eig(require_hermitian(rho.matrix, what="rho"), rho.dims)
     return PptCheck(ok=low >= -tol, min_eig=low)
@@ -376,7 +376,7 @@ def _certificate(k_matrix: np.ndarray, sigma: np.ndarray, dims: BipartiteDims, t
     )
 
 
-def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-8) -> KktReport:
+def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -> KktReport:
     """Optimality certificate for a positive definite PPT candidate sigma.
 
     Builds K = 1 - grad(Tr rho ln sigma) and passes iff the partial
@@ -397,7 +397,7 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-8) -> Kk
     return _certificate(k_matrix, sig_mat, rho.dims, tol)
 
 
-def kkt_check_maxcorr(alpha: np.ndarray, tol: float = 1e-8) -> KktReport:
+def kkt_check_maxcorr(alpha: np.ndarray, tol: float = CERT_TOL) -> KktReport:
     """Structured certificate for maximally correlated rho built from alpha.
 
     The candidate sigma keeps only the diagonal weights alpha_ii on |ii>.
@@ -439,12 +439,12 @@ def additivity_check(rho: DensityMatrix, sigma: DensityMatrix) -> AdditivityRepo
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     comm = rho.matrix @ sigma.matrix - sigma.matrix @ rho.matrix
     comm_norm = frobenius(comm)
-    commutes = comm_norm <= ADDITIVITY_TOL
+    commutes = comm_norm <= CERT_TOL
     min_eig = _gamma_min_eig(dd_gradient(rho.matrix, sigma.matrix), rho.dims)
     return AdditivityReport(
         commutes=commutes,
         commutator_norm=comm_norm,
         grad_pt_min_eig=min_eig,
-        additive_universal=commutes and min_eig >= -ADDITIVITY_TOL,
-        additive_self=commutes and min_eig >= -1.0 - ADDITIVITY_TOL,
+        additive_universal=commutes and min_eig >= -CERT_TOL,
+        additive_self=commutes and min_eig >= -1.0 - CERT_TOL,
     )

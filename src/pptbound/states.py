@@ -1,7 +1,11 @@
 """Bipartite state families, the Bell twirl, and the non-additivity pair.
 
 Constructors return :class:`DensityMatrix` values that already satisfy the
-trace, Hermiticity, and positivity invariants.
+trace, Hermiticity, and positivity invariants.  Outside input, a matrix or
+a probability vector, is admitted by one rule: it must lie within
+``INPUT_TOL`` of a state; if it already satisfies the invariants at working
+precision it is returned untouched, otherwise it is replaced by its
+nearest point on the state set.
 """
 
 from __future__ import annotations
@@ -11,10 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_RTOL, BipartiteDims, check_dims, hermitianize, require_hermitian
+from .linalg import (
+    HERMITIAN_RTOL,
+    BipartiteDims,
+    _simplex,
+    _spectraplex_project,
+    check_dims,
+    check_square,
+    hermitianize,
+    require_hermitian,
+)
 
 TRACE_TOL = 1e-12
 EIG_TOL = 1e-10
+# How far outside input may sit from the state set and still be admitted.
+INPUT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +58,17 @@ class DensityMatrix:
 
 
 def density_matrix(matrix: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
-    """Checked constructor."""
+    """The admitting constructor: ValueError naming the violated invariant
+    unless ``matrix`` is a state within INPUT_TOL.  A matrix valid at
+    working precision comes back untouched, so a dump/load cycle is
+    bit-exact; any other is replaced by the Frobenius-nearest state."""
     dm = DensityMatrix(matrix=np.asarray(matrix, dtype=complex), dims=dims)
-    dm.validate()
+    dm.validate(INPUT_TOL)
+    try:
+        dm.validate()
+    except ValueError:
+        dm = DensityMatrix(matrix=hermitianize(_spectraplex_project(hermitianize(dm.matrix))), dims=dims)
+        dm.validate()
     return dm
 
 
@@ -88,35 +111,34 @@ BELL_BASIS = np.array(
 
 
 def check_probabilities(p: np.ndarray, what: str, size: int | None = None) -> np.ndarray:
-    """``p`` as a float vector, or ValueError unless it has ``size`` entries
-    (at least two when ``size`` is None) that are finite, >= -1e-12 and sum
-    to 1 within 1e-9."""
+    """``p`` admitted as a probability vector of ``size`` entries (at least
+    two when ``size`` is None): ValueError unless the entries are finite,
+    at least -INPUT_TOL and sum to 1 within INPUT_TOL.  A vector that is
+    nonnegative and sums to 1 within TRACE_TOL comes back untouched; any
+    other is replaced by the nearest point of the simplex."""
     w = np.asarray(p, dtype=float)
     if (w.shape != (size,)) if size else (w.ndim != 1 or w.size < 2):
         raise ValueError(f"need {size or 'at least two'} {what}, got shape {w.shape}")
-    if not np.isfinite(w).all() or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{what} must form a probability vector, got {w}")
-    return w
+    if not np.isfinite(w).all():
+        raise ValueError(f"{what} must be finite, got {w}")
+    low, gap = w.min(), abs(w.sum() - 1.0)
+    if low < -INPUT_TOL or gap > INPUT_TOL:
+        raise ValueError(f"{what} must form a probability vector within {INPUT_TOL:g}, got {w}")
+    return w if low >= 0.0 and gap <= TRACE_TOL else _simplex(w)
 
 
 def check_alpha(alpha: np.ndarray) -> np.ndarray:
-    """The coefficient matrix of a maximally correlated state, Hermitian
-    averaged, or ValueError unless it is a density matrix within 1e-9."""
-    a = require_hermitian(np.asarray(alpha, dtype=complex), 1e-9, "alpha")
-    tr = complex(np.trace(a))
-    if abs(tr.real - 1.0) > 1e-9 or abs(tr.imag) > 1e-9:
-        raise ValueError(f"alpha must have unit trace, got {tr:.12g}")
-    a = hermitianize(a)
-    if float(np.linalg.eigvalsh(a)[0]) < -1e-9:
-        raise ValueError("alpha must be positive semidefinite")
-    return a
+    """The coefficient matrix of a maximally correlated state, admitted by
+    :func:`density_matrix` on one party and Hermitian averaged."""
+    a = check_square(np.asarray(alpha, dtype=complex), "alpha")
+    return hermitianize(density_matrix(a, BipartiteDims(a.shape[0], 1)).matrix)
 
 
 def bell_diagonal(p: np.ndarray) -> DensityMatrix:
     """Mixture of the four two-qubit Bell projectors with weights ``p``, in
     the column order of BELL_BASIS."""
     w = check_probabilities(p, "weights", size=4)
-    m = (BELL_BASIS * np.clip(w, 0.0, None)) @ BELL_BASIS.conj().T
+    m = (BELL_BASIS * w) @ BELL_BASIS.conj().T
     return DensityMatrix(matrix=hermitianize(m), dims=BipartiteDims(2, 2))
 
 
@@ -136,7 +158,7 @@ def pure_state(schmidt: np.ndarray) -> DensityMatrix:
     p = check_probabilities(schmidt, "Schmidt coefficients")
     k = p.size
     v = np.zeros(k * k, dtype=complex)
-    v[:: k + 1] = np.sqrt(np.clip(p, 0.0, None))
+    v[:: k + 1] = np.sqrt(p)
     v /= np.linalg.norm(v)
     return DensityMatrix(matrix=np.outer(v, v.conj()), dims=BipartiteDims(k, k))
 

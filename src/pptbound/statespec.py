@@ -7,11 +7,10 @@ A state file is a single JSON object in one of two shapes:
 
 Complex entries are written as ``[re, im]`` pairs; a bare number is accepted
 on input and read as a real entry.  Every number must be finite as a float.
-Explicit matrices are admitted when they are Hermitian, unit-trace, and
-positive semidefinite to within ``FILE_TOL``, then replaced by the
-Frobenius-nearest unit-trace PSD matrix.  Files that
-already satisfy the in-memory invariants pass through untouched, so a
-dump/load cycle preserves every entry bit for bit.
+Explicit matrices and family parameters alike go through the admission rule
+of :mod:`pptbound.states`: within ``INPUT_TOL`` of a state, then onto the
+state set.  Files that already satisfy the in-memory invariants pass
+through untouched, so a dump/load cycle preserves every entry bit for bit.
 """
 
 from __future__ import annotations
@@ -23,17 +22,16 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import BipartiteDims, HermiticityError, _spectraplex_project, hermitianize
+from .linalg import BipartiteDims, HermiticityError
 from .states import (
     DensityMatrix,
     bell_diagonal,
     counterexample_pair,
+    density_matrix,
     isotropic,
     max_correlated,
     pure_state,
 )
-
-FILE_TOL = 1e-9
 
 
 class StateSpecError(ValueError):
@@ -98,25 +96,12 @@ def _explicit_state(spec: dict) -> DensityMatrix:
         raise StateSpecError("'dims' must be a pair of positive integers [d_a, d_b]")
     d_a, d_b = (_integer(d, 1, f"'dims'[{i}]") for i, d in enumerate(dims))
     m = _matrix(spec["matrix"], "matrix")
-    dims = BipartiteDims(d_a, d_b)
-    candidate = DensityMatrix(matrix=m, dims=dims)
     try:
-        candidate.validate(FILE_TOL)
+        return density_matrix(m, BipartiteDims(d_a, d_b))
     except HermiticityError as exc:
         raise StateSpecError(f"hermiticity invariant violated: {exc}") from exc
     except ValueError as exc:
         raise StateSpecError(str(exc)) from exc
-    try:
-        candidate.validate()
-    except ValueError:
-        pass
-    else:
-        # Already valid at working precision: hand the entries back untouched
-        # so a dump/load cycle is bit-exact.
-        return candidate
-    state = DensityMatrix(matrix=hermitianize(_spectraplex_project(hermitianize(m))), dims=dims)
-    state.validate()
-    return state
 
 
 # Family name -> constructor from the ``params`` object.

@@ -84,10 +84,12 @@ def test_bell_z2_bound_attained_by_reported_sigma(seed):
 
 
 def test_bell_z2_bound_pure_label_degenerate_case():
-    result = bell_z2_bound(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert result.bound_bits == pytest.approx(1.0, abs=1e-14)
-    result.sigma_opt.validate()
-    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+    for p in ([1.0, 0.0, 0.0, 0.0], [1.0 - 1e-14, 1e-14 + 5e-13, 0.0, 0.0]):
+        result = bell_z2_bound(np.array(p))
+        assert result.bound_bits == pytest.approx(1.0, abs=1e-12)
+        result.sigma_opt.validate()
+        assert is_ppt(result.sigma_opt, tol=1e-10).ok
+        assert relative_entropy(bell_diagonal(p), result.sigma_opt) == pytest.approx(result.bound_bits, abs=1e-10)
 
 
 def test_maxcorr_bound_is_entropy_difference():

@@ -56,6 +56,28 @@ def test_non_finite_input_is_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bell_diagonal([0.25 + 5e-10, 0.25, 0.25, 0.25]),
+        lambda: max_correlated(np.diag([0.5 + 5e-10, 0.5])),
+        lambda: max_correlated(np.array([[1.0 + 5e-10, 0.0], [0.0, -5e-10]])),
+    ],
+    ids=["bell_diagonal_trace", "max_correlated_trace", "max_correlated_positivity"],
+)
+def test_constructors_admit_gray_band_input_as_states(build):
+    build().validate()
+
+
+def test_admission_keeps_valid_input_and_snaps_the_gray_band():
+    w = np.random.default_rng(31).dirichlet(np.ones(5))
+    assert np.array_equal(check_probabilities(w, "w"), w)
+    m = random_density(np.random.default_rng(32), 6)
+    assert np.array_equal(density_matrix(m, BipartiteDims(2, 3)).matrix, m)
+    snapped = check_probabilities([0.5 + 5e-10, 0.5, -5e-10], "w")
+    assert snapped.min() >= 0.0 and abs(snapped.sum() - 1.0) <= 1e-15
+
+
 def test_phi_plus_projector():
     for k in (2, 3):
         v = phi_plus(k)

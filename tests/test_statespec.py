@@ -188,6 +188,15 @@ def test_gray_band_inputs_are_canonicalized():
     tilted["matrix"][3][3][0] += 2e-10
     spec_to_state(tilted).validate()
 
+    # Family parameters in the same band go through the same rule.
+    eps = 5e-10
+    for family, params in (
+        ("bell_diagonal", {"probs": [0.25 + eps, 0.25, 0.25, 0.25]}),
+        ("max_correlated", {"alpha": [[1.0 + eps, 0.0], [0.0, -eps]]}),
+        ("pure", {"schmidt": [1.0 + eps, -eps]}),
+    ):
+        spec_to_state({"family": family, "params": params}).validate()
+
 
 def test_slightly_negative_eigenvalue_is_clipped():
     eps = 5e-10

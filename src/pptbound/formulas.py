@@ -80,7 +80,7 @@ def maxcorr_bound(alpha: np.ndarray) -> ClosedFormResult:
     the entropy of the diagonal of alpha minus the entropy of alpha, with
     the diagonal-only state as the optimizer."""
     a = check_alpha(alpha)
-    diag = np.real(np.diag(a))
+    diag = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=a.shape[0])
     value = shannon_entropy(diag) - shannon_entropy(np.linalg.eigvalsh(a))
     return ClosedFormResult(bound_bits=value, sigma_opt=max_correlated(np.diag(diag)))
 

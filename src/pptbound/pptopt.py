@@ -42,7 +42,7 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, max_correlated, phase_mask
+from .states import DensityMatrix, check_probabilities, max_correlated, phase_mask
 
 # First spectral step 1/n: the gradient at I/n is n rho, so the move is rho.
 # Armijo sufficient-decrease constant and backtracking factor of the search.
@@ -413,7 +413,7 @@ def kkt_check_maxcorr(alpha: np.ndarray, tol: float = CERT_TOL) -> KktReport:
     rho = max_correlated(alpha)
     k = rho.dims.d_a
     a = rho.matrix[:: k + 1, :: k + 1]
-    d = np.clip(np.real(np.diag(a)), 0.0, None)
+    d = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=k)
     f = divided_difference_log(d)
     live = d > DEFAULT_FLOOR
     off = ~np.eye(k, dtype=bool)

@@ -131,7 +131,10 @@ def check_alpha(alpha: np.ndarray) -> np.ndarray:
     """The coefficient matrix of a maximally correlated state, admitted by
     :func:`density_matrix` on one party and Hermitian averaged."""
     a = check_square(np.asarray(alpha, dtype=complex), "alpha")
-    return hermitianize(density_matrix(a, BipartiteDims(a.shape[0], 1)).matrix)
+    try:
+        return hermitianize(density_matrix(a, BipartiteDims(a.shape[0], 1)).matrix)
+    except ValueError as exc:
+        raise ValueError(f"alpha: {exc}") from None
 
 
 def bell_diagonal(p: np.ndarray) -> DensityMatrix:

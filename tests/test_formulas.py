@@ -84,12 +84,20 @@ def test_bell_z2_bound_attained_by_reported_sigma(seed):
 
 
 def test_bell_z2_bound_pure_label_degenerate_case():
-    for p in ([1.0, 0.0, 0.0, 0.0], [1.0 - 1e-14, 1e-14 + 5e-13, 0.0, 0.0]):
-        result = bell_z2_bound(np.array(p))
-        assert result.bound_bits == pytest.approx(1.0, abs=1e-12)
-        result.sigma_opt.validate()
-        assert is_ppt(result.sigma_opt, tol=1e-10).ok
-        assert relative_entropy(bell_diagonal(p), result.sigma_opt) == pytest.approx(result.bound_bits, abs=1e-10)
+    result = bell_z2_bound(np.array([1.0, 0.0, 0.0, 0.0]))
+    assert result.bound_bits == pytest.approx(1.0, abs=1e-14)
+    result.sigma_opt.validate()
+    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+
+    # Near-pure weights that sum to 1 + 5e-13: the minority labels must be
+    # rescaled by their own sum, not by 1 - a.
+    a = 1.0 - 1e-14
+    p = np.array([a, 1e-14 + 5e-13, 0.0, 0.0])
+    result = bell_z2_bound(p)
+    assert result.bound_bits == pytest.approx(1.0 + a * np.log2(a) + (1.0 - a) * np.log2(1.0 - a), abs=1e-14)
+    result.sigma_opt.validate()
+    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+    assert relative_entropy(bell_diagonal(p), result.sigma_opt) == pytest.approx(result.bound_bits, abs=1e-10)
 
 
 def test_maxcorr_bound_is_entropy_difference():
@@ -103,12 +111,15 @@ def test_maxcorr_bound_is_entropy_difference():
 
 
 def test_maxcorr_sigma_opt_diagonal_and_ppt():
-    a = np.array([[0.6, 0.3], [0.3, 0.4]])
-    result = maxcorr_bound(a)
-    sig = result.sigma_opt
-    assert is_ppt(sig, tol=1e-12).ok
-    off = sig.matrix - np.diag(np.diag(sig.matrix))
-    assert frobenius(off) == 0.0
+    # The second alpha is admitted untouched (its least eigenvalue is within
+    # EIG_TOL) with a -5e-11 diagonal, which sigma_opt must not inherit.
+    for a in (np.array([[0.6, 0.3], [0.3, 0.4]]), np.array([[1.0 + 5e-11, 0.0], [0.0, -5e-11]])):
+        sig = maxcorr_bound(a).sigma_opt
+        assert is_ppt(sig, tol=1e-12).ok
+        off = sig.matrix - np.diag(np.diag(sig.matrix))
+        assert frobenius(off) == 0.0
+        assert np.linalg.eigvalsh(sig.matrix).min() >= 0.0
+        sig.validate()
 
 
 def test_maxcorr_bound_additive_over_kron():

@@ -189,10 +189,12 @@ def test_max_correlated_embedding():
 
 
 def test_max_correlated_rejects_invalid_alpha():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha: positivity invariant"):
         max_correlated(np.array([[1.2, 0.0], [0.0, -0.2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha: trace invariant"):
         max_correlated(np.array([[0.5, 0.0], [0.0, 0.4]]))
+    with pytest.raises(ValueError, match="^alpha: .*not Hermitian"):
+        max_correlated(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
 
 def test_pure_state_rank_one_and_validation():

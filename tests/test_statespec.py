@@ -92,6 +92,8 @@ def test_unknown_family_and_bad_shapes():
         spec_to_state({"family": "isotropic", "params": {"k": 2, "f": "x"}})
     with pytest.raises(StateSpecError, match="'alpha'"):
         spec_to_state({"family": "max_correlated", "params": {}})
+    with pytest.raises(StateSpecError, match="family 'max_correlated': alpha: trace invariant"):
+        spec_to_state({"family": "max_correlated", "params": {"alpha": [[0.5, 0.0], [0.0, 0.4]]}})
 
 
 def test_explicit_requires_consistent_dims():

@@ -15,8 +15,11 @@ last move (Chambolle & Pock 2015; O'Donoghue & Candes 2015).  Each set
 projection is one ``eigh`` plus a simplex projection of the eigenvalues,
 with no polishing step; the projected state is exact on the
 partial-transpose side and carries a reported positivity residual on the
-other.  The iterates are also kept invariant under the diagonal local
-phases that fix rho.
+other.  On the untransposed side, a step whose trace shift stays positive
+definite is proved interior by one Cholesky factorization and skips the
+``eigh``.  The iterates are also kept invariant under the diagonal local
+phases that fix rho, and, when rho is real, under complex conjugation: a
+real rho is solved in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
     SpectralPoint,
+    _simplex,
     _spectraplex_project,
     check_dims,
     dd_gradient,
@@ -143,6 +147,29 @@ def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
     return PptCheck(ok=low >= -tol, min_eig=low)
 
 
+def _psd_side(x: np.ndarray, try_shift: bool) -> tuple[np.ndarray, bool]:
+    """The spectraplex projection P_S(x) of the Hermitian ``x``, and whether
+    it is positive definite.
+
+    With theta = (tr x - 1) / n, P_S(x) = x - theta I exactly when that
+    shift is positive definite, since the simplex step then clips nothing;
+    one Cholesky factorization proves it in place of an ``eigh``.  The
+    factorization is tried only when ``try_shift`` is set, because on the
+    cone boundary it fails and its cost is wasted.
+    """
+    if try_shift:
+        shifted = x.copy()
+        shifted.flat[:: x.shape[0] + 1] -= (np.trace(x).real - 1.0) / x.shape[0]
+        try:
+            np.linalg.cholesky(shifted)
+            return shifted, True
+        except np.linalg.LinAlgError:
+            pass
+    w, v = np.linalg.eigh(x)
+    p = _simplex(w)
+    return (v * p) @ v.conj().T, bool(p[0] > 0.0)
+
+
 def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     """Frobenius-nearest PPT density matrix to a Hermitian matrix.
 
@@ -168,19 +195,29 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     untransposed side.  A result that used up the cycle budget
     (DYKSTRA_ITERS cycles) is returned flagged, not raised; a matrix with a
     non-finite entry raises ValueError.
+
+    The S-side step is :func:`_psd_side`: an interior step, a trace shift
+    of z - y, is proved by one Cholesky factorization instead of an
+    ``eigh``.  It is tried only when the previous S-side step was interior
+    (the first cycle counts as such); the Gamma(S) side always takes the
+    ``eigh``, as its steps are almost never interior.  The arithmetic
+    follows the input (``np.result_type(mat, float)``): a real matrix is
+    projected in float64 and returned real, any other in complex128.
     """
-    z = hermitianize(np.asarray(check_dims(mat, dims), dtype=complex))
+    m = check_dims(mat, dims)
+    z = hermitianize(np.asarray(m, dtype=np.result_type(m, float)))
     if not np.isfinite(z).all():
         raise ValueError("matrix to project has a non-finite entry")
     q = q_prev = np.zeros_like(z)
     b = z
     t = 1.0
+    interior = True
     converged = False
     cycles = 0
     for cycles in range(1, DYKSTRA_ITERS + 1):
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = q + ((t - 1.0) / t_next) * (q - q_prev)
-        a = _spectraplex_project(z - y)
+        a, interior = _psd_side(z - y, try_shift=interior)
         v = y + a
         b_prev = b
         b = partial_transpose(_spectraplex_project(partial_transpose(v, dims)), dims)
@@ -275,7 +312,12 @@ def minimize_rel_entropy(
     between invariant points stay invariant, so the search is restricted
     to the invariant family without changing the optimum; on a degenerate
     face this keeps the iterate off the directions rho does not couple to,
-    where the support wall would otherwise stall the search.  Any feasible
+    where the support wall would otherwise stall the search.  When
+    rho.matrix has no nonzero imaginary part, complex conjugation fixes rho,
+    the PPT set and S(rho || .), so the real part of each projected point is
+    taken as well, after ``invariance_map`` and next to the phase twirl,
+    and the whole run is in float64; ``sigma_opt.matrix`` is complex128
+    either way.  Any feasible
     iterate gives a valid upper bound, so the returned value is certified
     from above even when the convergence flag is false.  A final sigma with
     an eigenvalue at or under DEFAULT_FLOOR is mixed with enough of I/n to
@@ -292,13 +334,14 @@ def minimize_rel_entropy(
         if initial.dims != dims:
             raise ValueError(f"dimension mismatch: rho {dims}, initial {initial.dims}")
         require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial")
-    rho_mat = hermitianize(np.asarray(rho.matrix, dtype=complex))
+    real = not np.imag(rho.matrix).any()
+    rho_mat = hermitianize(np.real(rho.matrix) if real else np.asarray(rho.matrix, dtype=complex))
     if is_ppt(rho, tol=1e-12).ok:
         return OptimizerResult(
             bound_bits=0.0, sigma_opt=rho, iterations=0, converged=True, final_grad_map_norm=0.0
         )
     n = dims.total
-    mask = phase_mask(rho)
+    mask = phase_mask(DensityMatrix(matrix=rho_mat, dims=dims))
     capped = 0
     worst_residual = 0.0
 
@@ -308,10 +351,10 @@ def minimize_rel_entropy(
         capped += not proj.converged
         worst_residual = max(worst_residual, proj.residual)
         state = proj.state if invariance_map is None else invariance_map(proj.state)
-        return state.matrix * mask
+        return (state.matrix.real if real else state.matrix) * mask
 
     c0 = -entropy_nats(rho_mat)
-    start = np.eye(n, dtype=complex) / n if initial is None else np.asarray(initial.matrix, dtype=complex)
+    start = np.eye(n, dtype=rho_mat.dtype) / n if initial is None else np.asarray(initial.matrix, dtype=complex)
     sigma = project(start)
     f_cur, point = _evaluate(rho_mat, sigma, c0)
     if point is None:
@@ -353,7 +396,7 @@ def minimize_rel_entropy(
         f_cur = c0 - SpectralPoint(rho_mat, sigma).cross()
     return OptimizerResult(
         bound_bits=f_cur / LN2,
-        sigma_opt=DensityMatrix(matrix=sigma, dims=dims),
+        sigma_opt=DensityMatrix(matrix=sigma.astype(complex), dims=dims),
         iterations=iterations,
         converged=converged,
         final_grad_map_norm=grad_map,

@@ -229,10 +229,12 @@ def phase_mask(rho: DensityMatrix) -> np.ndarray:
     transpose.
     """
     d_a, d_b = rho.dims.d_a, rho.dims.d_b
-    # Complex, although the charges are integers, so that the products and
-    # the eigh run the routines every projection already runs: the real
-    # ones would page in another 0.5 MiB of library code.
-    nodes = np.hstack([np.repeat(np.eye(d_a), d_b, axis=0), np.tile(np.eye(d_b), (d_a, 1))]).astype(complex)
+    # The charges are integers, but the products and the eigh run in the
+    # dtype of rho.matrix, the arithmetic its solve runs in: the other kind
+    # of eigh would page in about 0.5 MiB of library code that the solve
+    # never runs.
+    dtype = np.result_type(rho.matrix, float)
+    nodes = np.hstack([np.repeat(np.eye(d_a), d_b, axis=0), np.tile(np.eye(d_b), (d_a, 1))]).astype(dtype)
     rows, cols = np.nonzero(rho.matrix)
     charges = nodes[rows] - nodes[cols]
     w, v = np.linalg.eigh(charges.T @ charges)

@@ -13,6 +13,7 @@ from pptbound.linalg import (
     BipartiteDims,
     HermiticityError,
     _simplex,
+    _spectraplex_project,
     divided_difference_log,
     frobenius,
     hermitianize,
@@ -169,6 +170,44 @@ def test_project_ppt_converges_on_random_inputs(shape):
             assert np.vdot(x - p, y - p).real <= 1e-9
 
 
+def test_project_ppt_keeps_real_input_real():
+    rng = np.random.default_rng(24)
+    dims = BipartiteDims(3, 3)
+    for _ in range(5):
+        x = random_hermitian(rng, 9).real
+        out = project_ppt(x, dims)
+        assert out.state.matrix.dtype == np.float64
+        want = project_ppt(x.astype(complex), dims)
+        assert want.state.matrix.dtype == np.complex128
+        assert frobenius(out.state.matrix - want.state.matrix) <= 1e-12
+
+
+def test_psd_side_shift_matches_eigh_on_interior_input():
+    # x - theta I is the full-rank state rho, so the simplex step clips
+    # nothing and the projection is rho.
+    rho = random_definite_density(np.random.default_rng(25), 9, mix=0.5)
+    x = rho + 0.3 * np.eye(9)
+    shifted, inside = pptopt._psd_side(x, try_shift=True)
+    exact, inside_eigh = pptopt._psd_side(x, try_shift=False)
+    assert inside and inside_eigh
+    assert frobenius(shifted - exact) <= 1e-13
+    assert frobenius(shifted - rho) <= 1e-13
+
+
+def test_psd_side_takes_eigh_when_an_eigenvalue_is_clipped(monkeypatch):
+    rng = np.random.default_rng(26)
+    x = random_hermitian(rng, 9)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    out, inside = pptopt._psd_side(x, try_shift=True)
+    assert calls == [1]
+    assert not inside
+    assert frobenius(out - _spectraplex_project(x)) <= 1e-13
+    assert np.linalg.eigvalsh(out)[0] >= -1e-14
+    assert abs(np.trace(out) - 1.0) <= 1e-13
+
+
 def test_minimize_returns_zero_for_ppt_input():
     rho = isotropic(2, 0.4)
     res = minimize_rel_entropy(rho)
@@ -182,6 +221,22 @@ def test_minimize_matches_isotropic_closed_form():
     res = minimize_rel_entropy(isotropic(2, 0.75))
     assert res.converged
     assert res.bound_bits == pytest.approx(isotropic_bound(2, 0.75).bound_bits, abs=1e-7)
+
+
+def test_minimize_real_state_agrees_with_its_phase_rotation():
+    # rho is real, so the solve runs in real arithmetic; the local diagonal
+    # phases make an equivalent complex rho that runs in complex arithmetic.
+    rho, _ = counterexample_pair()
+    d_a = np.exp(1j * np.array([0.0, 0.7]))
+    d_b = np.exp(1j * np.array([0.3, -1.1]))
+    u = np.kron(d_a, d_b)
+    rotated = DensityMatrix(matrix=u[:, None] * rho.matrix * u.conj()[None, :], dims=rho.dims)
+    real = minimize_rel_entropy(rho)
+    cplx = minimize_rel_entropy(rotated)
+    assert real.converged and cplx.converged
+    assert abs(real.bound_bits - cplx.bound_bits) <= 1e-9
+    assert real.sigma_opt.matrix.dtype == np.complex128
+    assert cplx.sigma_opt.matrix.dtype == np.complex128
 
 
 def test_minimize_bound_is_attained_by_reported_sigma():

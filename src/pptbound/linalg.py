@@ -123,29 +123,32 @@ class SpectralPoint:
         live = self.eigenvalues > DEFAULT_FLOOR
         return float(self.weights[live] @ np.log(self.eigenvalues[live]))
 
-    def gradient(self, freeze: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of sigma -> Tr(rho ln sigma) as a Hermitian matrix.
+    def gradient(self, wall: float = DEFAULT_FLOOR) -> np.ndarray:
+        """Gradient of sigma -> Tr(rho ln sigma) as a Hermitian matrix, with
+        the eigenvalues at or under ``wall`` frozen.
 
         In the eigenbasis of sigma it is ``rho_t`` entrywise-scaled by the
         divided differences of ln; it reduces to rho @ inv(sigma) whenever
-        rho and sigma commute.  The kernel x kernel block is zeroed, and so
-        are the rows and columns of eigenvectors marked in ``freeze``.
+        rho and sigma commute.  The rows and columns of the frozen
+        eigenvectors are zeroed: by default that is the kernel, where ln is
+        only seen through the floor clamp.  When rho has no weight on the
+        frozen directions, freezing them changes nothing.
         """
         s, v = self.eigenvalues, self.eigenvectors
         f = divided_difference_log(s)
-        kernel = s <= DEFAULT_FLOOR
-        f[np.outer(kernel, kernel)] = 0.0
-        if freeze is not None:
-            f[freeze, :] = 0.0
-            f[:, freeze] = 0.0
+        frozen = s <= wall
+        f[frozen, :] = 0.0
+        f[:, frozen] = 0.0
         return hermitianize(v @ (self.rho_t * f) @ v.conj().T)
 
 
 def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Gradient of sigma -> Tr(rho ln sigma), see :meth:`SpectralPoint.gradient`.
+    """Gradient of sigma -> Tr(rho ln sigma) with sigma's kernel frozen,
+    see :meth:`SpectralPoint.gradient`.
 
-    Requires supp(rho) inside supp(sigma): if any eigenvector of sigma with
-    eigenvalue <= DEFAULT_FLOOR carries rho-weight above
+    Requires supp(rho) inside supp(sigma), the support rule of
+    :func:`~pptbound.entropy.relative_entropy`: if any eigenvector of sigma
+    with eigenvalue <= DEFAULT_FLOOR carries rho-weight above
     DEFAULT_SUPPORT_TOL, raises :class:`SupportError`.
     """
     r = require_hermitian(rho, what="rho")
@@ -170,10 +173,28 @@ def _simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - css[r] / (r + 1), 0.0)
 
 
-def _spectraplex_project(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest unit-trace PSD matrix to the Hermitian ``m``."""
+def _spectraplex_project(m: np.ndarray, try_shift: bool = False) -> tuple[np.ndarray, bool]:
+    """Frobenius-nearest unit-trace PSD matrix P(m) to the Hermitian ``m``,
+    and whether it is positive definite.
+
+    With theta = (tr m - 1) / n, P(m) = m - theta I exactly when that shift
+    is positive definite, since the simplex step then clips nothing; with
+    ``try_shift`` set, one Cholesky factorization tries to prove it in
+    place of the ``eigh``.  Callers set it only where the shift is likely
+    to succeed, because on the cone boundary it fails and its cost is
+    wasted.
+    """
+    if try_shift:
+        shifted = m.copy()
+        shifted.flat[:: m.shape[0] + 1] -= (np.trace(m).real - 1.0) / m.shape[0]
+        try:
+            np.linalg.cholesky(shifted)
+            return shifted, True
+        except np.linalg.LinAlgError:
+            pass
     w, v = np.linalg.eigh(m)
-    return (v * _simplex(w)) @ v.conj().T
+    p = _simplex(w)
+    return (v * p) @ v.conj().T, bool(p[0] > 0.0)
 
 
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:

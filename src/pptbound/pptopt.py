@@ -36,17 +36,15 @@ from .linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
     SpectralPoint,
-    _simplex,
     _spectraplex_project,
     check_dims,
     dd_gradient,
-    divided_difference_log,
     frobenius,
     hermitianize,
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, check_probabilities, max_correlated, phase_mask
+from .states import DensityMatrix, check_alpha, check_probabilities, max_correlated, phase_mask
 
 # First spectral step 1/n: the gradient at I/n is n rho, so the move is rho.
 # Armijo sufficient-decrease constant and backtracking factor of the search.
@@ -61,11 +59,17 @@ SPECTRAL_MAX = 1e10
 NONMONOTONE_MEMORY = 10
 # Eigenvalues of sigma at or under FACE_TOL form the face the search keeps
 # clear of: _evaluate rejects trial points where rho leaks onto them, and
-# _search_gradient freezes them at the points that pass.  It stays above
-# DEFAULT_FLOOR: at DEFAULT_FLOOR, random 3x3 pure states take 142-774
-# iterations with up to 196 capped projections (46-128 with at most 4 at
-# 1e-8), and without the freeze random 2x2 pure states take up to 498
-# iterations instead of 12-15.
+# _search_gradient freezes them at the points that pass.  It trades bound
+# tightness for speed.  On six random 3x3 pure states (rho = g g^dag, g a
+# complex Gaussian of default_rng(9010 + s), s = 0-5; process CPU time on
+# one Xeon core), at 1e-8 the solves take 28-87 iterations, 0-1 capped
+# projections and 0.06-0.61 s, and end 1.1e-4 to 1.3e-2 bits above the
+# Schmidt entropy.  At DEFAULT_FLOOR they take 493-1,061 iterations,
+# 48-431 capped projections and 35-265 s, and end 5.2e-8 to 5.7e-4 bits
+# above.  Both halves are load-bearing: lowering only the wall makes all
+# six 31-860x slower (2.4-63 s, and one had not finished after 35 min),
+# and lowering only the freeze makes four of them 130-4,000x slower
+# (40-260 s).
 FACE_TOL = 1e-8
 # Least weight of I/n mixed into a final sigma that touches the cone
 # boundary, so the reported bound is evaluated where sigma is positive
@@ -147,29 +151,6 @@ def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
     return PptCheck(ok=low >= -tol, min_eig=low)
 
 
-def _psd_side(x: np.ndarray, try_shift: bool) -> tuple[np.ndarray, bool]:
-    """The spectraplex projection P_S(x) of the Hermitian ``x``, and whether
-    it is positive definite.
-
-    With theta = (tr x - 1) / n, P_S(x) = x - theta I exactly when that
-    shift is positive definite, since the simplex step then clips nothing;
-    one Cholesky factorization proves it in place of an ``eigh``.  The
-    factorization is tried only when ``try_shift`` is set, because on the
-    cone boundary it fails and its cost is wasted.
-    """
-    if try_shift:
-        shifted = x.copy()
-        shifted.flat[:: x.shape[0] + 1] -= (np.trace(x).real - 1.0) / x.shape[0]
-        try:
-            np.linalg.cholesky(shifted)
-            return shifted, True
-        except np.linalg.LinAlgError:
-            pass
-    w, v = np.linalg.eigh(x)
-    p = _simplex(w)
-    return (v * p) @ v.conj().T, bool(p[0] > 0.0)
-
-
 def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     """Frobenius-nearest PPT density matrix to a Hermitian matrix.
 
@@ -196,13 +177,14 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     (DYKSTRA_ITERS cycles) is returned flagged, not raised; a matrix with a
     non-finite entry raises ValueError.
 
-    The S-side step is :func:`_psd_side`: an interior step, a trace shift
-    of z - y, is proved by one Cholesky factorization instead of an
-    ``eigh``.  It is tried only when the previous S-side step was interior
-    (the first cycle counts as such); the Gamma(S) side always takes the
-    ``eigh``, as its steps are almost never interior.  The arithmetic
-    follows the input (``np.result_type(mat, float)``): a real matrix is
-    projected in float64 and returned real, any other in complex128.
+    On the S side, an interior step, a trace shift of z - y, is proved by
+    one Cholesky factorization instead of an ``eigh`` (the ``try_shift``
+    of :func:`~pptbound.linalg._spectraplex_project`).  It is tried only
+    when the previous S-side step was interior (the first cycle counts as
+    such); the Gamma(S) side always takes the ``eigh``, as its steps are
+    almost never interior.  The arithmetic follows the input
+    (``np.result_type(mat, float)``): a real matrix is projected in float64
+    and returned real, any other in complex128.
     """
     m = check_dims(mat, dims)
     z = hermitianize(np.asarray(m, dtype=np.result_type(m, float)))
@@ -217,10 +199,10 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     for cycles in range(1, DYKSTRA_ITERS + 1):
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = q + ((t - 1.0) / t_next) * (q - q_prev)
-        a, interior = _psd_side(z - y, try_shift=interior)
+        a, interior = _spectraplex_project(z - y, try_shift=interior)
         v = y + a
         b_prev = b
-        b = partial_transpose(_spectraplex_project(partial_transpose(v, dims)), dims)
+        b = partial_transpose(_spectraplex_project(partial_transpose(v, dims))[0], dims)
         q_prev, q, t = q, v - b, t_next
         if np.vdot(y - q, q - q_prev).real > 0.0:
             q_prev, t = q, 1.0
@@ -267,7 +249,7 @@ def _search_gradient(point: SpectralPoint) -> np.ndarray:
     their true contribution is bounded by that weight, so keeping them only
     injects noise that stalls the line search near singular optima.
     """
-    return point.gradient(point.eigenvalues <= FACE_TOL)
+    return point.gradient(FACE_TOL)
 
 
 def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
@@ -338,7 +320,11 @@ def minimize_rel_entropy(
     rho_mat = hermitianize(np.real(rho.matrix) if real else np.asarray(rho.matrix, dtype=complex))
     if is_ppt(rho, tol=1e-12).ok:
         return OptimizerResult(
-            bound_bits=0.0, sigma_opt=rho, iterations=0, converged=True, final_grad_map_norm=0.0
+            bound_bits=0.0,
+            sigma_opt=DensityMatrix(matrix=np.array(rho.matrix, dtype=complex), dims=dims),
+            iterations=0,
+            converged=True,
+            final_grad_map_norm=0.0,
         )
     n = dims.total
     mask = phase_mask(DensityMatrix(matrix=rho_mat, dims=dims))
@@ -405,12 +391,25 @@ def minimize_rel_entropy(
     )
 
 
-def _certificate(k_matrix: np.ndarray, sigma: np.ndarray, dims: BipartiteDims, tol: float) -> KktReport:
-    """Report for the candidate multiplier K at sigma: the complementarity
-    residual |sigma^G K^G|, the least eigenvalue of K^G, and ``passed`` when
-    both are within ``tol``."""
-    residual = frobenius(partial_transpose(sigma, dims) @ partial_transpose(k_matrix, dims))
-    min_eig = _gamma_min_eig(k_matrix, dims)
+def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -> KktReport:
+    """Optimality certificate for a PPT candidate sigma of any rank.
+
+    Builds K = 1 - G, with G the gradient of Tr(rho ln sigma) at sigma with
+    sigma's kernel frozen (:func:`~pptbound.linalg.dd_gradient`), and
+    passes iff the partial transposes satisfy sigma^G K^G = 0 and K^G >= 0
+    within tolerance.  The multiplier of sigma >= 0 is zero, which meets
+    its conditions at any rank; when rho has no weight on sigma's kernel
+    the frozen gradient is the gradient.  A sigma whose kernel carries
+    rho-weight above DEFAULT_SUPPORT_TOL raises SupportError, the support
+    rule of :func:`~pptbound.entropy.relative_entropy`.  rho and sigma must
+    be Hermitian.
+    """
+    if rho.dims != sigma.dims:
+        raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
+    sig_mat = hermitianize(np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex))
+    k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - dd_gradient(rho.matrix, sig_mat)
+    residual = frobenius(partial_transpose(sig_mat, rho.dims) @ partial_transpose(k_matrix, rho.dims))
+    min_eig = _gamma_min_eig(k_matrix, rho.dims)
     return KktReport(
         k_matrix=k_matrix,
         complementarity_residual=residual,
@@ -419,55 +418,20 @@ def _certificate(k_matrix: np.ndarray, sigma: np.ndarray, dims: BipartiteDims, t
     )
 
 
-def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -> KktReport:
-    """Optimality certificate for a positive definite PPT candidate sigma.
-
-    Builds K = 1 - grad(Tr rho ln sigma) and passes iff the partial
-    transposes satisfy sigma^G K^G = 0 and K^G >= 0 within tolerance.
-    Singular sigma is rejected here; use :func:`kkt_check_maxcorr` for the
-    structured diagonal-support family.  rho and sigma must be Hermitian.
-    """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    sig_mat = hermitianize(np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex))
-    point = SpectralPoint(require_hermitian(rho.matrix, what="rho"), sig_mat)
-    if float(point.eigenvalues[0]) <= DEFAULT_FLOOR:
-        raise ValueError(
-            "sigma is singular: the plain certificate needs a positive definite sigma; "
-            "for states supported on the diagonal pairs use kkt_check_maxcorr"
-        )
-    k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - point.gradient()
-    return _certificate(k_matrix, sig_mat, rho.dims, tol)
-
-
 def kkt_check_maxcorr(alpha: np.ndarray, tol: float = CERT_TOL) -> KktReport:
-    """Structured certificate for maximally correlated rho built from alpha.
+    """:func:`kkt_check` of the maximally correlated state built from alpha
+    against its optimum, the same state with only alpha's diagonal.
 
-    The candidate sigma keeps only the diagonal weights alpha_ii on |ii>.
-    Being singular, it takes K = 1 - grad(Tr rho ln sigma) - L, with L =
-    diag(lambda_ij) on the null directions |ij>, i != j, and the gradient
-    frozen on sigma's kernel: there ln is only seen through the floor clamp,
-    and keeping those couplings fails pure states with a Schmidt weight
-    under DEFAULT_FLOOR.  The multiplier conditions hold by construction,
-    so the report checks only K: lambda_ij = 1 - min(1, |alpha_ij| f_ij)
-    lies in [0, 1], so L >= 0, and L is zero on the |ii> where sigma lives,
-    so sigma L = 0.
+    That sigma is singular on every |ij>, i != j, and on each |ii> with
+    alpha_ii = 0; rho has no weight there, and K = 1 there.  On each pair
+    |ij>, |ji> the block of K^G is
+    [[1, -alpha_ij f_ij], [-conj(alpha_ij f_ij), 1]] with f_ij the divided
+    difference of ln at (alpha_ii, alpha_jj).  1 / f_ij is the logarithmic
+    mean, at least sqrt(alpha_ii alpha_jj) >= |alpha_ij|, so K^G >= 0.
     """
-    rho = max_correlated(alpha)
-    k = rho.dims.d_a
-    a = rho.matrix[:: k + 1, :: k + 1]
-    d = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=k)
-    f = divided_difference_log(d)
-    live = d > DEFAULT_FLOOR
-    off = ~np.eye(k, dtype=bool)
-
-    lam = np.where(np.outer(live, live), 1.0 - np.minimum(1.0, np.abs(a) * f), 1.0)
-    l_diag = np.where(off, lam, 0.0).ravel()
-    sigma = np.diag(np.where(off, 0.0, d).ravel()).astype(complex)
-    point = SpectralPoint(rho.matrix, sigma)
-    grad = point.gradient(point.eigenvalues <= DEFAULT_FLOOR)
-    k_matrix = np.eye(k * k, dtype=complex) - grad - np.diag(l_diag)
-    return _certificate(k_matrix, sigma, rho.dims, tol)
+    a = check_alpha(alpha)
+    d = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=a.shape[0])
+    return kkt_check(max_correlated(a), max_correlated(np.diag(d)), tol)
 
 
 def additivity_check(rho: DensityMatrix, sigma: DensityMatrix) -> AdditivityReport:

@@ -162,6 +162,24 @@ def test_kkt_pass_and_fail_paths(pair_files):
     assert float(grab(r"min eig K_Gamma = ([-\d.eE+]+)", proc.stdout)) < -1e-5
 
 
+def test_kkt_singular_sigma_pass_and_leak(tmp_path):
+    rho = write_spec(tmp_path / "pure.json", {"family": "pure", "params": {"schmidt": [0.8, 0.2]}})
+    sigma = write_spec(
+        tmp_path / "diag.json", {"family": "max_correlated", "params": {"alpha": [[0.8, 0.0], [0.0, 0.2]]}}
+    )
+    proc = run_cli("kkt", "--rho", rho, "--sigma", sigma)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("PASS")
+
+    leaky = write_spec(
+        tmp_path / "leaky.json", {"family": "max_correlated", "params": {"alpha": [[1.0, 0.0], [0.0, 0.0]]}}
+    )
+    proc = run_cli("kkt", "--rho", rho, "--sigma", leaky)
+    assert proc.returncode == 1
+    assert "null space" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_kkt_dimension_mismatch(tmp_path, pair_files):
     rho, _ = pair_files
     other = write_spec(tmp_path / "k3.json", {"family": "isotropic", "params": {"k": 3, "f": 0.9}})

@@ -12,6 +12,7 @@ from pptbound.linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
     HermiticityError,
+    SupportError,
     _simplex,
     _spectraplex_project,
     divided_difference_log,
@@ -187,8 +188,8 @@ def test_psd_side_shift_matches_eigh_on_interior_input():
     # nothing and the projection is rho.
     rho = random_definite_density(np.random.default_rng(25), 9, mix=0.5)
     x = rho + 0.3 * np.eye(9)
-    shifted, inside = pptopt._psd_side(x, try_shift=True)
-    exact, inside_eigh = pptopt._psd_side(x, try_shift=False)
+    shifted, inside = _spectraplex_project(x, try_shift=True)
+    exact, inside_eigh = _spectraplex_project(x)
     assert inside and inside_eigh
     assert frobenius(shifted - exact) <= 1e-13
     assert frobenius(shifted - rho) <= 1e-13
@@ -200,10 +201,10 @@ def test_psd_side_takes_eigh_when_an_eigenvalue_is_clipped(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-    out, inside = pptopt._psd_side(x, try_shift=True)
+    out, inside = _spectraplex_project(x, try_shift=True)
     assert calls == [1]
     assert not inside
-    assert frobenius(out - _spectraplex_project(x)) <= 1e-13
+    assert frobenius(out - _spectraplex_project(x)[0]) <= 1e-13
     assert np.linalg.eigvalsh(out)[0] >= -1e-14
     assert abs(np.trace(out) - 1.0) <= 1e-13
 
@@ -215,6 +216,15 @@ def test_minimize_returns_zero_for_ppt_input():
     assert res.iterations == 0
     assert res.converged
     assert frobenius(res.sigma_opt.matrix - rho.matrix) == 0.0
+
+
+def test_minimize_ppt_input_returns_complex_copy():
+    rho = DensityMatrix(matrix=np.eye(4) / 4, dims=DIMS22)
+    res = minimize_rel_entropy(rho)
+    assert res.sigma_opt is not rho
+    assert res.sigma_opt.matrix.dtype == np.complex128
+    assert not np.shares_memory(res.sigma_opt.matrix, rho.matrix)
+    assert np.array_equal(res.sigma_opt.matrix, rho.matrix)
 
 
 def test_minimize_matches_isotropic_closed_form():
@@ -423,8 +433,27 @@ def test_kkt_check_rejects_non_hermitian_sigma():
 def test_kkt_check_rejects_singular_sigma():
     rho = isotropic(2, 0.9)
     singular = density_matrix(np.diag([0.5, 0.5, 0.0, 0.0]), DIMS22)
-    with pytest.raises(ValueError, match="kkt_check_maxcorr"):
+    with pytest.raises(SupportError, match="null space"):
         kkt_check(rho, singular)
+
+
+@pytest.mark.parametrize(
+    "p", [[0.5, 0.5], [0.8, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.6, 0.4 - 1e-9, 1e-9], [0.5, 0.3, 0.2]]
+)
+def test_kkt_check_certifies_pure_state_schmidt_optimum(p):
+    # sigma_opt keeps the Schmidt weights on |ii> and is singular on every
+    # |ij>, i != j, where the pure state has no weight.
+    report = kkt_check(pure_state(p), pure_state_bound(p).sigma_opt)
+    assert report.passed
+    assert report.complementarity_residual <= 1e-14
+    assert report.k_gamma_min_eig >= -1e-14
+
+
+def test_kkt_check_rejects_wrong_singular_optimum():
+    report = kkt_check(pure_state([0.8, 0.2]), max_correlated(np.diag([0.5, 0.5])))
+    assert not report.passed
+    assert report.complementarity_residual == pytest.approx(0.3 * np.sqrt(2.0), rel=1e-12)
+    assert report.k_gamma_min_eig == pytest.approx(-0.6, rel=1e-12)
 
 
 @pytest.mark.parametrize("check", [kkt_check, additivity_check])
@@ -442,9 +471,9 @@ def test_kkt_check_maxcorr_random_alphas():
                 a = hermitianize(random_density(rng, k, rank))
                 report = kkt_check_maxcorr(a)
                 assert report.passed
-                # K is 1 - lambda_ij on |ij>, i != j, so this is L >= 0 (and lambda <= 1).
+                # sigma's kernel holds every |ij>, i != j, and K is 1 there.
                 k_off = np.real(np.diag(report.k_matrix)).reshape(k, k)[off]
-                assert k_off.min() >= 0.0 and k_off.max() <= 1.0
+                assert (k_off == 1.0).all()
 
 
 def test_kkt_check_maxcorr_diagonal_alpha_boundary():
@@ -454,9 +483,8 @@ def test_kkt_check_maxcorr_diagonal_alpha_boundary():
 
 def _maxcorr_reference_k(alpha):
     """K of the max-correlated certificate filled entry by entry: -alpha o f
-    on the live |ii> x |jj> pairs, 1 on a dead |ii>, and 1 - lambda_ij on
-    |ij>, i != j, with lambda_ij = 1 - min(1, |alpha_ij| f_ij) when both
-    diagonal weights are live and 1 otherwise."""
+    on the live |ii> x |jj> pairs, 0 on a live |ii>, and 1 on the kernel of
+    sigma, a dead |ii> or any |ij>, i != j."""
     a = hermitianize(np.asarray(alpha, dtype=complex))
     k = a.shape[0]
     d = np.clip(np.real(np.diag(a)), 0.0, None)
@@ -468,11 +496,9 @@ def _maxcorr_reference_k(alpha):
             if i == j:
                 want[i * k + i, i * k + i] = 0.0 if live[i] else 1.0
                 continue
-            lam = 1.0
             if live[i] and live[j]:
                 want[i * k + i, j * k + j] = -a[i, j] * f[i, j]
-                lam = 1.0 - min(1.0, abs(a[i, j]) * f[i, j])
-            want[i * k + j, i * k + j] = 1.0 - lam
+            want[i * k + j, i * k + j] = 1.0
     return want
 
 

@@ -116,6 +116,7 @@ def cmd_kkt(args: argparse.Namespace) -> int:
     p = args.precision
     print(f"complementarity residual = {_cell(report.complementarity_residual, p)}")
     print(f"min eig K_Gamma = {_cell(report.k_gamma_min_eig, p)}")
+    print(f"min eig sigma_Gamma = {_cell(report.sigma_gamma_min_eig, p)}")
     print(f"tolerance = {_cell(args.tol, p)}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_CERT_FAIL

@@ -37,19 +37,13 @@ def entropy_nats(rho_mat: np.ndarray) -> float:
 
 
 def relative_entropy_nats(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    """S(rho||sigma) in nats; +inf when rho leaves the support of sigma.
-
-    The support test is on the eigenvectors of sigma: any direction with
-    eigenvalue <= DEFAULT_FLOOR carrying rho-weight above
-    DEFAULT_SUPPORT_TOL makes the divergence infinite.  Directions below
-    both cutoffs are skipped.
-    """
+    """S(rho||sigma) in nats; +inf when rho leaves the support of sigma,
+    by the rule of :meth:`~pptbound.linalg.SpectralPoint.divergence` at
+    the kernel floor DEFAULT_FLOOR."""
     if rho_mat.shape != sigma_mat.shape:
         raise ValueError(f"shape mismatch: rho {rho_mat.shape}, sigma {sigma_mat.shape}")
     point = SpectralPoint(rho_mat, require_hermitian(sigma_mat, what="sigma"))
-    if point.leaks(DEFAULT_FLOOR) is not None:
-        return math.inf
-    return -entropy_nats(rho_mat) - point.cross()
+    return point.divergence(-entropy_nats(rho_mat))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -7,6 +7,7 @@ structure enters only through :class:`BipartiteDims`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,48 +98,57 @@ def divided_difference_log(s: np.ndarray) -> np.ndarray:
 
 
 class SpectralPoint:
-    """Tr(rho ln sigma), its support test and its gradient from one ``eigh``
-    of sigma.
+    """S(rho||sigma), its support test and its gradient from one ``eigh``
+    of sigma, on one face.
 
     Holds the ascending eigenvalues and eigenvectors V of sigma, ``rho_t``
-    = V^dag rho V and the rho-weights, the real diagonal of ``rho_t``.
-    Eigenvalues at or under DEFAULT_FLOOR form the kernel.  Nothing is
-    validated here; callers that take outside input check it first.
+    = V^dag rho V and the rho-weights, the real diagonal of ``rho_t``.  The
+    face, the eigenvalues at or under ``wall``, is fixed here: rho may not
+    leak onto it, and the gradient freezes it.  By default the face is the
+    kernel.  Nothing is validated here; callers that take outside input
+    check it first.
     """
 
-    def __init__(self, rho: np.ndarray, sigma: np.ndarray) -> None:
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray, wall: float = DEFAULT_FLOOR) -> None:
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(hermitianize(sigma))
         v = self.eigenvectors
         self.rho_t = v.conj().T @ rho @ v
         self.weights = np.real(np.diag(self.rho_t))
+        self.face = self.eigenvalues <= wall
 
-    def leaks(self, wall: float) -> float | None:
-        """Largest rho-weight above DEFAULT_SUPPORT_TOL on an eigenvalue at
-        or under ``wall``, or None when rho stays clear of those directions."""
-        hit = (self.eigenvalues <= wall) & (self.weights > DEFAULT_SUPPORT_TOL)
+    def leaks(self) -> float | None:
+        """Largest rho-weight above DEFAULT_SUPPORT_TOL on the face, or None
+        when rho stays clear of it."""
+        hit = self.face & (self.weights > DEFAULT_SUPPORT_TOL)
         return float(self.weights[hit].max()) if hit.any() else None
 
-    def cross(self) -> float:
-        """Tr(rho ln sigma) over the eigenvalues above DEFAULT_FLOOR."""
-        live = self.eigenvalues > DEFAULT_FLOOR
-        return float(self.weights[live] @ np.log(self.eigenvalues[live]))
+    def divergence(self, c0: float) -> float:
+        """c0 - Tr(rho ln sigma) in nats, +inf when rho leaks onto the face.
 
-    def gradient(self, wall: float = DEFAULT_FLOOR) -> np.ndarray:
+        With c0 = -S(rho) this is S(rho||sigma).  The trace runs over the
+        eigenvalues above DEFAULT_FLOOR; directions under both cutoffs are
+        skipped.
+        """
+        if self.leaks() is not None:
+            return math.inf
+        live = self.eigenvalues > DEFAULT_FLOOR
+        return c0 - float(self.weights[live] @ np.log(self.eigenvalues[live]))
+
+    def gradient(self) -> np.ndarray:
         """Gradient of sigma -> Tr(rho ln sigma) as a Hermitian matrix, with
-        the eigenvalues at or under ``wall`` frozen.
+        the face frozen.
 
         In the eigenbasis of sigma it is ``rho_t`` entrywise-scaled by the
         divided differences of ln; it reduces to rho @ inv(sigma) whenever
-        rho and sigma commute.  The rows and columns of the frozen
-        eigenvectors are zeroed: by default that is the kernel, where ln is
-        only seen through the floor clamp.  When rho has no weight on the
-        frozen directions, freezing them changes nothing.
+        rho and sigma commute.  The rows and columns of the face are
+        zeroed: at the default wall that is the kernel, where ln is only
+        seen through the floor clamp.  When rho has no weight on the face,
+        freezing it changes nothing.
         """
-        s, v = self.eigenvalues, self.eigenvectors
-        f = divided_difference_log(s)
-        frozen = s <= wall
-        f[frozen, :] = 0.0
-        f[:, frozen] = 0.0
+        v = self.eigenvectors
+        f = divided_difference_log(self.eigenvalues)
+        f[self.face, :] = 0.0
+        f[:, self.face] = 0.0
         return hermitianize(v @ (self.rho_t * f) @ v.conj().T)
 
 
@@ -147,8 +157,8 @@ def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     see :meth:`SpectralPoint.gradient`.
 
     Requires supp(rho) inside supp(sigma), the support rule of
-    :func:`~pptbound.entropy.relative_entropy`: if any eigenvector of sigma
-    with eigenvalue <= DEFAULT_FLOOR carries rho-weight above
+    :meth:`SpectralPoint.divergence`: if any eigenvector of sigma with
+    eigenvalue <= DEFAULT_FLOOR carries rho-weight above
     DEFAULT_SUPPORT_TOL, raises :class:`SupportError`.
     """
     r = require_hermitian(rho, what="rho")
@@ -156,7 +166,7 @@ def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch: rho {r.shape}, sigma {s.shape}")
     point = SpectralPoint(r, s)
-    weight = point.leaks(DEFAULT_FLOOR)
+    weight = point.leaks()
     if weight is not None:
         raise SupportError(
             f"rho has weight {weight:.3e} on the null space of sigma (tol {DEFAULT_SUPPORT_TOL:.1e})"

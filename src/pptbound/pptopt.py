@@ -58,18 +58,25 @@ SPECTRAL_MAX = 1e10
 # this many accepted objective values.
 NONMONOTONE_MEMORY = 10
 # Eigenvalues of sigma at or under FACE_TOL form the face the search keeps
-# clear of: _evaluate rejects trial points where rho leaks onto them, and
-# _search_gradient freezes them at the points that pass.  It trades bound
-# tightness for speed.  On six random 3x3 pure states (rho = g g^dag, g a
-# complex Gaussian of default_rng(9010 + s), s = 0-5; process CPU time on
-# one Xeon core), at 1e-8 the solves take 28-87 iterations, 0-1 capped
-# projections and 0.06-0.61 s, and end 1.1e-4 to 1.3e-2 bits above the
-# Schmidt entropy.  At DEFAULT_FLOOR they take 493-1,061 iterations,
-# 48-431 capped projections and 35-265 s, and end 5.2e-8 to 5.7e-4 bits
-# above.  Both halves are load-bearing: lowering only the wall makes all
-# six 31-860x slower (2.4-63 s, and one had not finished after 35 min),
-# and lowering only the freeze makes four of them 130-4,000x slower
-# (40-260 s).
+# clear of: each search point is a SpectralPoint at this wall, whose value
+# is inf where rho leaks onto the face and whose gradient freezes it.  A
+# rho-supported direction near the cone boundary makes the gradient scale
+# like 1/s there, which defeats the Armijo search before the step floor is
+# reached.  Keeping the iterates off the wall costs at most
+# DEFAULT_SUPPORT_TOL * |ln FACE_TOL| of headroom at a legitimately
+# near-singular optimum, far below the reporting tolerances.  On the frozen
+# directions rho carries at most DEFAULT_SUPPORT_TOL, so their huge divided
+# differences would only add noise that stalls the search near singular
+# optima.  It trades bound tightness for speed.  On six random 3x3 pure
+# states (rho = g g^dag, g a complex Gaussian of default_rng(9010 + s),
+# s = 0-5; process CPU time on one Xeon core), at 1e-8 the solves take
+# 28-87 iterations, 0-1 capped projections and 0.06-0.61 s, and end 1.1e-4
+# to 1.3e-2 bits above the Schmidt entropy.  At DEFAULT_FLOOR they take
+# 493-1,061 iterations, 48-431 capped projections and 35-265 s, and end
+# 5.2e-8 to 5.7e-4 bits above.  Both halves, the wall and the freeze, are
+# load-bearing: lowering only the wall makes all six 31-860x slower
+# (2.4-63 s, and one had not finished after 35 min), and lowering only the
+# freeze makes four of them 130-4,000x slower (40-260 s).
 FACE_TOL = 1e-8
 # Least weight of I/n mixed into a final sigma that touches the cone
 # boundary, so the reported bound is evaluated where sigma is positive
@@ -119,15 +126,16 @@ class OptimizerResult:
 class KktReport:
     """First-order optimality certificate for sigma against rho.
 
-    ``passed`` asserts complementarity and positive semidefiniteness of the
-    transposed multiplier within tolerance.  This certifies optimality; its
-    failure on a particular sigma does not by itself bound the optimum away
-    from sigma's value.
+    ``passed`` asserts that sigma is PPT, complementarity, and positive
+    semidefiniteness of the transposed multiplier, all within tolerance.
+    This certifies optimality; its failure on a particular sigma does not
+    by itself bound the optimum away from sigma's value.
     """
 
     k_matrix: np.ndarray
     complementarity_residual: float
     k_gamma_min_eig: float
+    sigma_gamma_min_eig: float
     passed: bool
 
 
@@ -219,39 +227,6 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     )
 
 
-def _evaluate(
-    rho_mat: np.ndarray, sigma_mat: np.ndarray, c0: float
-) -> tuple[float, SpectralPoint | None]:
-    """Objective c0 - Tr(rho ln sigma) in nats, plus the spectral point.
-
-    Returns (inf, None) when rho leaks out of the support of sigma; the
-    line search treats that as a rejected step rather than an error.
-    """
-    point = SpectralPoint(rho_mat, sigma_mat)
-    # A rho-supported direction pinned near the cone boundary makes the
-    # gradient scale like 1/s there, which defeats the Armijo search before
-    # the step floor is reached.  Treating such points as infeasible keeps
-    # the iterates away from the wall; the objective headroom this costs at
-    # a legitimately near-singular optimum is bounded by DEFAULT_SUPPORT_TOL
-    # * |ln FACE_TOL|, far below the reporting tolerances.
-    if point.leaks(FACE_TOL) is not None:
-        return math.inf, None
-    return c0 - point.cross(), point
-
-
-def _search_gradient(point: SpectralPoint) -> np.ndarray:
-    """Gradient of the objective at a point that passed :func:`_evaluate`,
-    restricted to the active face.
-
-    Directions where sigma is at or under FACE_TOL are frozen; rho carries
-    at most DEFAULT_SUPPORT_TOL on each of them, or _evaluate would have
-    rejected the point.  Their divided-difference factors are huge but
-    their true contribution is bounded by that weight, so keeping them only
-    injects noise that stalls the line search near singular optima.
-    """
-    return point.gradient(FACE_TOL)
-
-
 def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
     """Mix sigma, whose least eigenvalue is ``low``, with eps I/n where
     eps = FINAL_MIX + n max(0, -low): the result is positive definite even
@@ -304,11 +279,12 @@ def minimize_rel_entropy(
     from above even when the convergence flag is false.  A final sigma with
     an eigenvalue at or under DEFAULT_FLOOR is mixed with enough of I/n to
     outweigh any negative eigenvalue (at least FINAL_MIX), which keeps it
-    PPT, and the bound is the relative entropy at the mixed sigma, with no
-    FACE_TOL wall.  Projections that used up their cycle budget are counted
-    in ``capped_projections``, and the largest positivity deficiency any
-    projection left is ``max_projection_residual``.  An ``initial`` that is
-    not a finite Hermitian matrix of rho's dimensions raises ValueError.
+    PPT, and the bound is the relative entropy at the mixed sigma, at the
+    kernel wall DEFAULT_FLOOR instead of FACE_TOL.  Projections that used
+    up their cycle budget are counted in ``capped_projections``, and the
+    largest positivity deficiency any projection left is
+    ``max_projection_residual``.  An ``initial`` that is not a finite
+    Hermitian matrix of rho's dimensions raises ValueError.
     """
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
@@ -342,10 +318,11 @@ def minimize_rel_entropy(
     c0 = -entropy_nats(rho_mat)
     start = np.eye(n, dtype=rho_mat.dtype) / n if initial is None else np.asarray(initial.matrix, dtype=complex)
     sigma = project(start)
-    f_cur, point = _evaluate(rho_mat, sigma, c0)
-    if point is None:
+    point = SpectralPoint(rho_mat, sigma, FACE_TOL)
+    f_cur = point.divergence(c0)
+    if math.isinf(f_cur):
         raise ValueError("initial iterate violates the support condition")
-    grad = _search_gradient(point)
+    grad = point.gradient()
     step = 1.0 / n
     history = deque([f_cur], maxlen=NONMONOTONE_MEMORY)
     converged = False
@@ -362,13 +339,14 @@ def minimize_rel_entropy(
         t = 1.0
         while t >= STEP_FLOOR:
             cand = sigma + t * d
-            f_new, trial = _evaluate(rho_mat, cand, c0)
+            trial = SpectralPoint(rho_mat, cand, FACE_TOL)
+            f_new = trial.divergence(c0)
             if f_new <= reference - ARMIJO_C * t * slope:
                 break
             t *= BACKTRACK_RATIO
         else:
             break  # no acceptable step down to STEP_FLOOR: stop unconverged
-        grad_new = _search_gradient(trial)
+        grad_new = trial.gradient()
         ds = t * d
         curvature = float(np.vdot(ds, grad - grad_new).real)
         step = SPECTRAL_MAX
@@ -379,7 +357,7 @@ def minimize_rel_entropy(
     low = float(point.eigenvalues[0])
     if low <= DEFAULT_FLOOR:
         sigma = _mix_with_identity(sigma, low)
-        f_cur = c0 - SpectralPoint(rho_mat, sigma).cross()
+        f_cur = SpectralPoint(rho_mat, sigma).divergence(c0)
     return OptimizerResult(
         bound_bits=f_cur / LN2,
         sigma_opt=DensityMatrix(matrix=sigma.astype(complex), dims=dims),
@@ -396,8 +374,8 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
 
     Builds K = 1 - G, with G the gradient of Tr(rho ln sigma) at sigma with
     sigma's kernel frozen (:func:`~pptbound.linalg.dd_gradient`), and
-    passes iff the partial transposes satisfy sigma^G K^G = 0 and K^G >= 0
-    within tolerance.  The multiplier of sigma >= 0 is zero, which meets
+    passes iff sigma is PPT (sigma^G >= 0) and the partial transposes
+    satisfy sigma^G K^G = 0 and K^G >= 0, all within tolerance.  The multiplier of sigma >= 0 is zero, which meets
     its conditions at any rank; when rho has no weight on sigma's kernel
     the frozen gradient is the gradient.  A sigma whose kernel carries
     rho-weight above DEFAULT_SUPPORT_TOL raises SupportError, the support
@@ -410,11 +388,13 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - dd_gradient(rho.matrix, sig_mat)
     residual = frobenius(partial_transpose(sig_mat, rho.dims) @ partial_transpose(k_matrix, rho.dims))
     min_eig = _gamma_min_eig(k_matrix, rho.dims)
+    sigma_min_eig = _gamma_min_eig(sig_mat, rho.dims)
     return KktReport(
         k_matrix=k_matrix,
         complementarity_residual=residual,
         k_gamma_min_eig=min_eig,
-        passed=residual <= tol and min_eig >= -tol,
+        sigma_gamma_min_eig=sigma_min_eig,
+        passed=residual <= tol and min(min_eig, sigma_min_eig) >= -tol,
     )
 
 
@@ -428,6 +408,7 @@ def kkt_check_maxcorr(alpha: np.ndarray, tol: float = CERT_TOL) -> KktReport:
     [[1, -alpha_ij f_ij], [-conj(alpha_ij f_ij), 1]] with f_ij the divided
     difference of ln at (alpha_ii, alpha_jj).  1 / f_ij is the logarithmic
     mean, at least sqrt(alpha_ii alpha_jj) >= |alpha_ij|, so K^G >= 0.
+    sigma is diagonal in the product basis, so sigma^G = sigma >= 0.
     """
     a = check_alpha(alpha)
     d = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=a.shape[0])

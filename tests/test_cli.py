@@ -161,6 +161,14 @@ def test_kkt_pass_and_fail_paths(pair_files):
     assert proc.stdout.strip().endswith("FAIL")
     assert float(grab(r"min eig K_Gamma = ([-\d.eE+]+)", proc.stdout)) < -1e-5
 
+    # rho against itself meets every condition on K, but it is not PPT.
+    proc = run_cli("kkt", "--rho", rho, "--sigma", rho)
+    assert proc.returncode == 3
+    lines = proc.stdout.strip().splitlines()
+    assert lines[-1] == "FAIL"
+    assert lines[-2].startswith("tolerance = ")
+    assert float(grab(r"min eig sigma_Gamma = ([-\d.eE+]+)", lines[-3])) == pytest.approx(-0.2487, abs=1e-4)
+
 
 def test_kkt_singular_sigma_pass_and_leak(tmp_path):
     rho = write_spec(tmp_path / "pure.json", {"family": "pure", "params": {"schmidt": [0.8, 0.2]}})

@@ -1,5 +1,7 @@
 """Spectral primitives, the divided-difference gradient, and bipartite reshapes."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -98,13 +100,15 @@ def test_spectral_point_leak_wall_and_frozen_gradient():
     rho = np.diag([0.6, 0.4 - 1e-6, 1e-6])
     sigma = np.diag([0.5, 0.5 - 1e-9, 1e-9])
     point = SpectralPoint(rho, sigma)
-    assert point.leaks(1e-12) is None
-    assert point.leaks(1e-8) == pytest.approx(1e-6)
-    assert point.cross() == pytest.approx(rho.diagonal() @ np.log(sigma.diagonal()), rel=1e-14)
+    face = SpectralPoint(rho, sigma, 1e-8)
+    assert point.leaks() is None
+    assert face.leaks() == pytest.approx(1e-6)
+    assert point.divergence(0.0) == pytest.approx(-(rho.diagonal() @ np.log(sigma.diagonal())), rel=1e-14)
+    assert face.divergence(0.0) == math.inf
     free = point.gradient()
     assert free[0, 0] == pytest.approx(1.2, rel=1e-12)
     assert free[2, 2] == pytest.approx(1e3, rel=1e-6)
-    frozen = point.gradient(1e-8)
+    frozen = face.gradient()
     assert frozen[2, 2] == 0.0
     assert frobenius(frozen - np.diag([1.2, free[1, 1], 0.0])) <= 1e-12
 

@@ -399,6 +399,7 @@ def test_kkt_check_passes_on_counterexample_pair():
     assert report.passed
     assert report.complementarity_residual <= 1e-12
     assert report.k_gamma_min_eig >= -1e-12
+    assert report.sigma_gamma_min_eig >= -1e-12
 
 
 def test_kkt_check_fails_on_tensor_square():
@@ -424,6 +425,17 @@ def test_kkt_check_rejects_wrong_optimum():
     assert not report.passed
 
 
+def test_kkt_check_rejects_entangled_sigma():
+    # sigma = rho makes K = 1 - rho rho^-1 = 0, which meets every condition
+    # on K, but sigma is not PPT.
+    rho = isotropic(2, 0.9)
+    report = kkt_check(rho, rho)
+    assert not report.passed
+    assert report.complementarity_residual <= 1e-12
+    assert abs(report.k_gamma_min_eig) <= 1e-12
+    assert report.sigma_gamma_min_eig == pytest.approx(-0.4, rel=1e-12)
+
+
 def test_kkt_check_rejects_non_hermitian_sigma():
     rho, _ = counterexample_pair()
     with pytest.raises(HermiticityError):
@@ -447,6 +459,7 @@ def test_kkt_check_certifies_pure_state_schmidt_optimum(p):
     assert report.passed
     assert report.complementarity_residual <= 1e-14
     assert report.k_gamma_min_eig >= -1e-14
+    assert report.sigma_gamma_min_eig >= -1e-14
 
 
 def test_kkt_check_rejects_wrong_singular_optimum():

@@ -183,28 +183,10 @@ def _simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - css[r] / (r + 1), 0.0)
 
 
-def _spectraplex_project(m: np.ndarray, try_shift: bool = False) -> tuple[np.ndarray, bool]:
-    """Frobenius-nearest unit-trace PSD matrix P(m) to the Hermitian ``m``,
-    and whether it is positive definite.
-
-    With theta = (tr m - 1) / n, P(m) = m - theta I exactly when that shift
-    is positive definite, since the simplex step then clips nothing; with
-    ``try_shift`` set, one Cholesky factorization tries to prove it in
-    place of the ``eigh``.  Callers set it only where the shift is likely
-    to succeed, because on the cone boundary it fails and its cost is
-    wasted.
-    """
-    if try_shift:
-        shifted = m.copy()
-        shifted.flat[:: m.shape[0] + 1] -= (np.trace(m).real - 1.0) / m.shape[0]
-        try:
-            np.linalg.cholesky(shifted)
-            return shifted, True
-        except np.linalg.LinAlgError:
-            pass
+def _spectraplex_project(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest unit-trace PSD matrix to the Hermitian ``m``."""
     w, v = np.linalg.eigh(m)
-    p = _simplex(w)
-    return (v * p) @ v.conj().T, bool(p[0] > 0.0)
+    return (v * _simplex(w)) @ v.conj().T
 
 
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:

@@ -15,11 +15,11 @@ last move (Chambolle & Pock 2015; O'Donoghue & Candes 2015).  Each set
 projection is one ``eigh`` plus a simplex projection of the eigenvalues,
 with no polishing step; the projected state is exact on the
 partial-transpose side and carries a reported positivity residual on the
-other.  On the untransposed side, a step whose trace shift stays positive
-definite is proved interior by one Cholesky factorization and skips the
-``eigh``.  The iterates are also kept invariant under the diagonal local
-phases that fix rho, and, when rho is real, under complex conjugation: a
-real rho is solved in real arithmetic throughout.
+other.  The partial-transpose side is projected first: when that point is
+already PSD it is the answer, exactly, and the loop is skipped; otherwise
+the loop starts from it.  The iterates are also kept invariant under the
+diagonal local phases that fix rho, and, when rho is real, under complex
+conjugation: a real rho is solved in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ NONMONOTONE_MEMORY = 10
 # optima.  It trades bound tightness for speed.  On six random 3x3 pure
 # states (rho = g g^dag, g a complex Gaussian of default_rng(9010 + s),
 # s = 0-5; process CPU time on one Xeon core), at 1e-8 the solves take
-# 28-87 iterations, 0-1 capped projections and 0.06-0.61 s, and end 1.1e-4
-# to 1.3e-2 bits above the Schmidt entropy.  At DEFAULT_FLOOR they take
-# 493-1,061 iterations, 48-431 capped projections and 35-265 s, and end
-# 5.2e-8 to 5.7e-4 bits above.  Both halves, the wall and the freeze, are
-# load-bearing: lowering only the wall makes all six 31-860x slower
+# 41-107 iterations, 0-18 capped projections and 0.05-11 s, and end 9.4e-5
+# to 1.3e-2 bits above the Schmidt entropy.  Measured before project_ppt
+# gained its one-cycle exit: at DEFAULT_FLOOR they took 493-1,061
+# iterations, 48-431 capped projections and 35-265 s, and ended 5.2e-8 to
+# 5.7e-4 bits above.  Both halves, the wall and the freeze, were
+# load-bearing: lowering only the wall made all six 31-860x slower
 # (2.4-63 s, and one had not finished after 35 min), and lowering only the
-# freeze makes four of them 130-4,000x slower (40-260 s).
+# freeze made four of them 130-4,000x slower (40-260 s).
 FACE_TOL = 1e-8
 # Least weight of I/n mixed into a final sigma that touches the cone
 # boundary, so the reported bound is evaluated where sigma is positive
@@ -169,60 +170,64 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
     simplex; the partial transpose is a trace-preserving Frobenius
     isometry, so the image is handled by conjugating with it.
 
-    With input z, Dykstra's scheme over the two sets is proximal gradient
-    on the dual increment q of the Gamma(S) side: a = P_S(z - q), v = q + a,
-    b = P_Gamma(S)(v), q <- v - b.  Each cycle takes that step from the
-    FISTA extrapolation q + ((t - 1) / t') (q - q_prev) instead of from q
-    (Chambolle & Pock, SMAI J. Comput. Math. 1, 2015), and drops the
-    momentum (t = 1) whenever the step points back along the last move of
-    q, the gradient restart of O'Donoghue & Candes (Found. Comput. Math.
-    15, 2015).  Cycles stop when both |a - b| and the move of b since the
-    previous cycle (from z on the first) fall under DYKSTRA_TOL together,
-    so an input that is already a PPT state stops after one cycle.  The
+    With input z, the first cycle is the Gamma(S) side alone,
+    b = P_Gamma(S)(z).  If b is PSD (least eigenvalue >= 0, with no
+    tolerance), it is returned after that one ``eigh``, converged with
+    residual 0: z - b lies in the normal cone of Gamma(S) at b, and a PSD b
+    lies in the intersection, whose normal cone at b contains that of
+    Gamma(S), so b is the projection onto the intersection.  Otherwise
+    Dykstra's scheme runs, warm-started from the dual increment q = z - b
+    of that cycle, with b as the previous Gamma(S) iterate.  The scheme is
+    proximal gradient on q: a = P_S(z - q), v = q + a, b = P_Gamma(S)(v),
+    q <- v - b, so it converges from any starting q.  Each cycle takes that
+    step from the FISTA extrapolation q + ((t - 1) / t') (q - q_prev)
+    instead of from q (Chambolle & Pock, SMAI J. Comput. Math. 1, 2015),
+    and drops the momentum (t = 1) whenever the step points back along the
+    last move of q, the gradient restart of O'Donoghue & Candes (Found.
+    Comput. Math. 15, 2015).  Cycles stop when both |a - b| and the move
+    of b since the previous cycle fall under DYKSTRA_TOL together.  The
     returned state is b, so it is PPT and of unit trace to rounding; the
     reported residual is the positivity deficiency that remains on the
     untransposed side.  A result that used up the cycle budget
-    (DYKSTRA_ITERS cycles) is returned flagged, not raised; a matrix with a
-    non-finite entry raises ValueError.
-
-    On the S side, an interior step, a trace shift of z - y, is proved by
-    one Cholesky factorization instead of an ``eigh`` (the ``try_shift``
-    of :func:`~pptbound.linalg._spectraplex_project`).  It is tried only
-    when the previous S-side step was interior (the first cycle counts as
-    such); the Gamma(S) side always takes the ``eigh``, as its steps are
-    almost never interior.  The arithmetic follows the input
-    (``np.result_type(mat, float)``): a real matrix is projected in float64
-    and returned real, any other in complex128.
+    (DYKSTRA_ITERS cycles, the first included) is returned flagged, not
+    raised; a matrix with a non-finite entry raises ValueError.  The
+    arithmetic follows the input (``np.result_type(mat, float)``): a real
+    matrix is projected in float64 and returned real, any other in
+    complex128.
     """
     m = check_dims(mat, dims)
     z = hermitianize(np.asarray(m, dtype=np.result_type(m, float)))
     if not np.isfinite(z).all():
         raise ValueError("matrix to project has a non-finite entry")
-    q = q_prev = np.zeros_like(z)
-    b = z
-    t = 1.0
-    interior = True
-    converged = False
-    cycles = 0
-    for cycles in range(1, DYKSTRA_ITERS + 1):
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = q + ((t - 1.0) / t_next) * (q - q_prev)
-        a, interior = _spectraplex_project(z - y, try_shift=interior)
-        v = y + a
-        b_prev = b
-        b = partial_transpose(_spectraplex_project(partial_transpose(v, dims))[0], dims)
-        q_prev, q, t = q, v - b, t_next
-        if np.vdot(y - q, q - q_prev).real > 0.0:
-            q_prev, t = q, 1.0
-        if math.hypot(frobenius(a - b), frobenius(b - b_prev)) <= DYKSTRA_TOL:
-            converged = True
-            break
-    b = hermitianize(b)
-    residual = max(0.0, -float(np.linalg.eigvalsh(b)[0]))
+
+    def gamma_side(v: np.ndarray) -> np.ndarray:
+        return partial_transpose(_spectraplex_project(partial_transpose(v, dims)), dims)
+
+    b = hermitianize(gamma_side(z))
+    low = float(np.linalg.eigvalsh(b)[0])
+    converged = low >= 0.0
+    cycles = 1
+    if not converged:
+        q = q_prev = z - b
+        t = 1.0
+        for cycles in range(2, DYKSTRA_ITERS + 1):
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = q + ((t - 1.0) / t_next) * (q - q_prev)
+            a = _spectraplex_project(z - y)
+            v = y + a
+            b_prev, b = b, gamma_side(v)
+            q_prev, q, t = q, v - b, t_next
+            if np.vdot(y - q, q - q_prev).real > 0.0:
+                q_prev, t = q, 1.0
+            if math.hypot(frobenius(a - b), frobenius(b - b_prev)) <= DYKSTRA_TOL:
+                converged = True
+                break
+        b = hermitianize(b)
+        low = float(np.linalg.eigvalsh(b)[0])
     return ProjectedState(
         state=DensityMatrix(matrix=b, dims=dims),
         converged=converged,
-        residual=residual,
+        residual=max(0.0, -low),
         cycles=cycles,
     )
 

@@ -67,7 +67,7 @@ def density_matrix(matrix: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
     try:
         dm.validate()
     except ValueError:
-        dm = DensityMatrix(matrix=hermitianize(_spectraplex_project(hermitianize(dm.matrix))[0]), dims=dims)
+        dm = DensityMatrix(matrix=hermitianize(_spectraplex_project(hermitianize(dm.matrix))), dims=dims)
         dm.validate()
     return dm
 

@@ -172,6 +172,23 @@ def test_two_copy_solve_projection_cycles(monkeypatch):
     assert sum(cycles) <= 80
 
 
+def test_two_copy_every_projection_takes_one_cycle(monkeypatch):
+    # Each projection of the solve lands where the Gamma(S) side alone is
+    # already PSD, so it is exact after one cycle.
+    cycles = []
+    project = pptopt.project_ppt
+
+    def counted(mat, dims):
+        out = project(mat, dims)
+        cycles.append(out.cycles)
+        return out
+
+    monkeypatch.setattr(pptopt, "project_ppt", counted)
+    nonadditivity_experiment(EXPERIMENT_CONFIG)
+    assert len(cycles) > 1
+    assert cycles == [1] * len(cycles)
+
+
 def test_nonadditivity_experiment_report():
     cfg = OptimizerConfig(max_iters=20_000, grad_map_tol=1e-8)
     rep = nonadditivity_experiment(cfg, restarts=1, seed=3)

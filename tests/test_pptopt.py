@@ -14,7 +14,6 @@ from pptbound.linalg import (
     HermiticityError,
     SupportError,
     _simplex,
-    _spectraplex_project,
     divided_difference_log,
     frobenius,
     hermitianize,
@@ -183,30 +182,50 @@ def test_project_ppt_keeps_real_input_real():
         assert frobenius(out.state.matrix - want.state.matrix) <= 1e-12
 
 
-def test_psd_side_shift_matches_eigh_on_interior_input():
-    # x - theta I is the full-rank state rho, so the simplex step clips
-    # nothing and the projection is rho.
-    rho = random_definite_density(np.random.default_rng(25), 9, mix=0.5)
-    x = rho + 0.3 * np.eye(9)
-    shifted, inside = _spectraplex_project(x, try_shift=True)
-    exact, inside_eigh = _spectraplex_project(x)
-    assert inside and inside_eigh
-    assert frobenius(shifted - exact) <= 1e-13
-    assert frobenius(shifted - rho) <= 1e-13
-
-
-def test_psd_side_takes_eigh_when_an_eigenvalue_is_clipped(monkeypatch):
-    rng = np.random.default_rng(26)
-    x = random_hermitian(rng, 9)
+def _eigh_counter(monkeypatch) -> list:
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-    out, inside = _spectraplex_project(x, try_shift=True)
+    return calls
+
+
+def _max_variational_gap(x, p, dims, rng, extra=()):
+    """Largest <x - p, y - p> over I/n, ``extra`` and four random product
+    states y; at the projection p of x onto a convex set holding them all,
+    it is at most 0."""
+    products = [np.kron(random_density(rng, dims.d_a), random_density(rng, dims.d_b)) for _ in range(4)]
+    ys = [np.eye(dims.total) / dims.total, *extra, *products]
+    return max(np.vdot(x - p, y - p).real for y in ys)
+
+
+def test_project_ppt_exits_after_one_eigh_when_gamma_side_is_psd(monkeypatch):
+    # The Gamma(S)-side projection of I/16 + rho (x) rho is already PSD, so
+    # it is the PPT projection and no Dykstra cycle follows.
+    rho, sigma = counterexample_pair()
+    rho2, sigma2 = tensor(rho, rho), tensor(sigma, sigma)
+    x = np.eye(16) / 16 + rho2.matrix
+    calls = _eigh_counter(monkeypatch)
+    out = project_ppt(x, rho2.dims)
     assert calls == [1]
-    assert not inside
-    assert frobenius(out - _spectraplex_project(x)[0]) <= 1e-13
-    assert np.linalg.eigvalsh(out)[0] >= -1e-14
-    assert abs(np.trace(out) - 1.0) <= 1e-13
+    assert out.cycles == 1 and out.converged
+    assert out.residual == 0.0
+    p = out.state.matrix
+    assert np.linalg.eigvalsh(p)[0] >= 0.0
+    assert np.linalg.eigvalsh(partial_transpose(p, rho2.dims))[0] >= -1e-14
+    assert abs(np.trace(p) - 1.0) <= 1e-14
+    rng = np.random.default_rng(27)
+    assert _max_variational_gap(x, p, rho2.dims, rng, extra=[sigma2.matrix]) <= 1e-12
+
+
+def test_project_ppt_runs_dykstra_from_a_gamma_side_that_is_not_psd(monkeypatch):
+    # The first cycle is the Gamma(S) side alone; every later one projects
+    # onto both sets, one eigh each.
+    x = random_hermitian(np.random.default_rng(0), 4)
+    calls = _eigh_counter(monkeypatch)
+    out = project_ppt(x, DIMS22)
+    assert out.converged and out.cycles > 1
+    assert len(calls) == 2 * out.cycles - 1
+    assert _max_variational_gap(x, out.state.matrix, DIMS22, np.random.default_rng(28)) <= 1e-12
 
 
 def test_minimize_returns_zero_for_ppt_input():
@@ -333,8 +352,11 @@ def test_minimize_survives_dominant_weight_near_boundary():
 
 
 def test_minimize_reports_capped_projections(monkeypatch):
+    # A rank-2 3x3 state keeps the PSD side of its projections active, so
+    # a one-cycle budget caps them.
     monkeypatch.setattr(pptopt, "DYKSTRA_ITERS", 1)
-    res = minimize_rel_entropy(isotropic(2, 0.9))
+    rho = density_matrix(random_density(np.random.default_rng(700), 9, rank=2), BipartiteDims(3, 3))
+    res = minimize_rel_entropy(rho, OptimizerConfig(max_iters=200))
     assert res.capped_projections > 0
     assert res.max_projection_residual >= 0.0
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_FLOOR, SpectralPoint, hermitianize, require_hermitian
+from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, require_hermitian
 from .states import DensityMatrix, check_probabilities
 
 LN2 = math.log(2.0)
@@ -32,17 +32,22 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 
 def entropy_nats(rho_mat: np.ndarray) -> float:
-    """-Tr(rho ln rho) of a positive semidefinite matrix."""
-    return _entropy_of(np.linalg.eigvalsh(hermitianize(require_hermitian(rho_mat, what="rho"))))
+    """-Tr(rho ln rho) of a matrix that is PSD within EIG_TOL, or ValueError."""
+    w = np.linalg.eigvalsh(require_hermitian(rho_mat, what="rho"))
+    if w[0] < -EIG_TOL:
+        raise ValueError(f"rho is not PSD: least eigenvalue {w[0]:.3e}")
+    return _entropy_of(w)
 
 
 def relative_entropy_nats(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    """S(rho||sigma) in nats; +inf when rho leaves the support of sigma,
-    by the rule of :meth:`~pptbound.linalg.SpectralPoint.divergence` at
-    the kernel floor DEFAULT_FLOOR."""
+    """S(rho||sigma) in nats of rho and sigma PSD within EIG_TOL, or ValueError;
+    +inf when rho leaves the support of sigma, by the rule of
+    :meth:`~pptbound.linalg.SpectralPoint.divergence` at DEFAULT_FLOOR."""
     if rho_mat.shape != sigma_mat.shape:
         raise ValueError(f"shape mismatch: rho {rho_mat.shape}, sigma {sigma_mat.shape}")
     point = SpectralPoint(rho_mat, require_hermitian(sigma_mat, what="sigma"))
+    if point.eigenvalues[0] < -EIG_TOL:
+        raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
     return point.divergence(-entropy_nats(rho_mat))
 
 

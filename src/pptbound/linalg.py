@@ -2,7 +2,10 @@
 
 All functions work on plain square ``numpy`` arrays in the computational
 product basis ``|i>_A |j>_B`` at flat index ``i * d_b + j``.  Bipartite
-structure enters only through :class:`BipartiteDims`.
+structure enters only through :class:`BipartiteDims`.  A matrix is admitted
+once, by :func:`require_hermitian`, which returns its Hermitian part; no later
+step symmetrizes it again before ``eigh``, which reads one triangle.  Entry
+points that take a state's spectrum raise ValueError below -EIG_TOL.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 DEFAULT_FLOOR = 1e-12
 DEFAULT_SUPPORT_TOL = 1e-9
+EIG_TOL = 1e-10
 
 
 class HermiticityError(ValueError):
@@ -68,8 +72,8 @@ def check_dims(m: np.ndarray, dims: BipartiteDims, what: str = "matrix") -> np.n
 
 
 def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "matrix") -> np.ndarray:
-    """``m`` as an array, or ValueError unless it is square with finite
-    entries and Hermitian to within ``rtol`` * max(1, |m|)."""
+    """The Hermitian part of ``m``, or ValueError unless ``m`` is square with
+    finite entries and Hermitian to within ``rtol`` * max(1, |m|)."""
     a = check_square(m, what)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has a non-finite entry")
@@ -77,7 +81,7 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "
     scale = max(1.0, float(np.linalg.norm(a)))
     if dev > rtol * scale:
         raise HermiticityError(f"{what} is not Hermitian: deviation {dev:.3e} exceeds {rtol:.1e} * scale")
-    return a
+    return hermitianize(a)
 
 
 def divided_difference_log(s: np.ndarray) -> np.ndarray:
@@ -105,12 +109,11 @@ class SpectralPoint:
     = V^dag rho V and the rho-weights, the real diagonal of ``rho_t``.  The
     face, the eigenvalues at or under ``wall``, is fixed here: rho may not
     leak onto it, and the gradient freezes it.  By default the face is the
-    kernel.  Nothing is validated here; callers that take outside input
-    check it first.
+    kernel.  Nothing is checked here: sigma goes to ``eigh`` as given.
     """
 
     def __init__(self, rho: np.ndarray, sigma: np.ndarray, wall: float = DEFAULT_FLOOR) -> None:
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(hermitianize(sigma))
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(sigma)
         v = self.eigenvectors
         self.rho_t = v.conj().T @ rho @ v
         self.weights = np.real(np.diag(self.rho_t))
@@ -156,16 +159,17 @@ def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gradient of sigma -> Tr(rho ln sigma) with sigma's kernel frozen,
     see :meth:`SpectralPoint.gradient`.
 
-    Requires supp(rho) inside supp(sigma), the support rule of
-    :meth:`SpectralPoint.divergence`: if any eigenvector of sigma with
-    eigenvalue <= DEFAULT_FLOOR carries rho-weight above
-    DEFAULT_SUPPORT_TOL, raises :class:`SupportError`.
+    sigma must be PSD within EIG_TOL (ValueError) with supp(rho) inside
+    supp(sigma), the rule of :meth:`SpectralPoint.divergence`: rho-weight above
+    DEFAULT_SUPPORT_TOL on an eigenvalue <= DEFAULT_FLOOR raises :class:`SupportError`.
     """
     r = require_hermitian(rho, what="rho")
     s = require_hermitian(sigma, what="sigma")
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch: rho {r.shape}, sigma {s.shape}")
     point = SpectralPoint(r, s)
+    if point.eigenvalues[0] < -EIG_TOL:
+        raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
     weight = point.leaks()
     if weight is not None:
         raise SupportError(

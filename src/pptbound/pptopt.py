@@ -151,7 +151,7 @@ class AdditivityReport:
 
 def _gamma_min_eig(m: np.ndarray, dims: BipartiteDims) -> float:
     """Least eigenvalue of the partial transpose of the Hermitian ``m``."""
-    return float(np.linalg.eigvalsh(hermitianize(partial_transpose(m, dims)))[0])
+    return float(np.linalg.eigvalsh(partial_transpose(m, dims))[0])
 
 
 def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
@@ -288,17 +288,13 @@ def minimize_rel_entropy(
     kernel wall DEFAULT_FLOOR instead of FACE_TOL.  Projections that used
     up their cycle budget are counted in ``capped_projections``, and the
     largest positivity deficiency any projection left is
-    ``max_projection_residual``.  An ``initial`` that is not a finite
-    Hermitian matrix of rho's dimensions raises ValueError.
+    ``max_projection_residual``.  ``initial`` is read after the PPT exit;
+    one that is not finite, Hermitian and of rho's dims raises ValueError.
     """
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
-    if initial is not None:
-        if initial.dims != dims:
-            raise ValueError(f"dimension mismatch: rho {dims}, initial {initial.dims}")
-        require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial")
     real = not np.imag(rho.matrix).any()
-    rho_mat = hermitianize(np.real(rho.matrix) if real else np.asarray(rho.matrix, dtype=complex))
+    rho_mat = require_hermitian(rho.matrix.real if real else rho.matrix.astype(complex), what="rho")
     if is_ppt(rho, tol=1e-12).ok:
         return OptimizerResult(
             bound_bits=0.0,
@@ -321,7 +317,11 @@ def minimize_rel_entropy(
         return (state.matrix.real if real else state.matrix) * mask
 
     c0 = -entropy_nats(rho_mat)
-    start = np.eye(n, dtype=rho_mat.dtype) / n if initial is None else np.asarray(initial.matrix, dtype=complex)
+    start = np.eye(n, dtype=rho_mat.dtype) / n
+    if initial is not None:
+        if initial.dims != dims:
+            raise ValueError(f"dimension mismatch: rho {dims}, initial {initial.dims}")
+        start = require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial").astype(complex)
     sigma = project(start)
     point = SpectralPoint(rho_mat, sigma, FACE_TOL)
     f_cur = point.divergence(c0)
@@ -380,16 +380,16 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     Builds K = 1 - G, with G the gradient of Tr(rho ln sigma) at sigma with
     sigma's kernel frozen (:func:`~pptbound.linalg.dd_gradient`), and
     passes iff sigma is PPT (sigma^G >= 0) and the partial transposes
-    satisfy sigma^G K^G = 0 and K^G >= 0, all within tolerance.  The multiplier of sigma >= 0 is zero, which meets
-    its conditions at any rank; when rho has no weight on sigma's kernel
-    the frozen gradient is the gradient.  A sigma whose kernel carries
-    rho-weight above DEFAULT_SUPPORT_TOL raises SupportError, the support
-    rule of :func:`~pptbound.entropy.relative_entropy`.  rho and sigma must
-    be Hermitian.
+    satisfy sigma^G K^G = 0 and K^G >= 0, all within tolerance.  The
+    multiplier of sigma >= 0 is zero, which meets its conditions at any
+    rank; when rho has no weight on sigma's kernel the frozen gradient is
+    the gradient.  rho must be Hermitian and sigma PSD within EIG_TOL
+    (ValueError), with no rho-weight above DEFAULT_SUPPORT_TOL on its
+    kernel (SupportError, the rule of :func:`~pptbound.entropy.relative_entropy`).
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    sig_mat = hermitianize(np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex))
+    sig_mat = np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex)
     k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - dd_gradient(rho.matrix, sig_mat)
     residual = frobenius(partial_transpose(sig_mat, rho.dims) @ partial_transpose(k_matrix, rho.dims))
     min_eig = _gamma_min_eig(k_matrix, rho.dims)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     HERMITIAN_RTOL,
+    EIG_TOL,
     BipartiteDims,
     _simplex,
     _spectraplex_project,
@@ -27,7 +28,6 @@ from .linalg import (
 )
 
 TRACE_TOL = 1e-12
-EIG_TOL = 1e-10
 # How far outside input may sit from the state set and still be admitted.
 INPUT_TOL = 1e-9
 
@@ -48,11 +48,11 @@ class DensityMatrix:
         ``tol`` replaces HERMITIAN_RTOL, TRACE_TOL and EIG_TOL when given."""
         herm_rtol, trace_tol, eig_tol = (HERMITIAN_RTOL, TRACE_TOL, EIG_TOL) if tol is None else (tol,) * 3
         m = check_dims(self.matrix, self.dims, "density matrix")
-        require_hermitian(m, herm_rtol, "density matrix")
+        m = require_hermitian(m, herm_rtol, "density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace invariant violated: trace = {tr:.15g}")
-        low = float(np.linalg.eigvalsh(hermitianize(m))[0])
+        low = float(np.linalg.eigvalsh(m)[0])
         if low < -eig_tol:
             raise ValueError(f"positivity invariant violated: min eigenvalue = {low:.3e}")
 

@@ -150,8 +150,7 @@ def spec_to_state(spec: Any) -> DensityMatrix:
 
 def state_to_spec(state: DensityMatrix) -> dict:
     """Explicit-form JSON object for ``state``; inverse of :func:`spec_to_state`."""
-    m = state.matrix
-    rows = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(m.shape[1])] for i in range(m.shape[0])]
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
     return {"dims": [state.dims.d_a, state.dims.d_b], "matrix": rows}
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,14 @@ def test_cli_import_loads_no_test_extra():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_cli_imports_with_scipy_blocked():
+    # scipy is a test extra: src/ must import, lazily or not, without it.
+    code = "import sys; sys.modules['scipy'] = None; import pptbound.cli"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_experiment_bell_scan_csv(tmp_path):

@@ -113,6 +113,12 @@ def test_relative_entropy_finite_on_shared_support():
     assert relative_entropy(rho, sigma) == pytest.approx(want, abs=1e-10)
 
 
+def test_entropy_rejects_rho_below_eig_tol():
+    with pytest.raises(ValueError, match="rho is not PSD: least eigenvalue -2.000e-01"):
+        entropy_nats(np.diag([0.7, 0.5, -0.2, 0.0]))
+    assert entropy_nats(np.diag([0.5, 0.5, -5e-11])) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
 def test_relative_entropy_dimension_mismatch():
     with pytest.raises(ValueError):
         relative_entropy(isotropic(2, 0.6), isotropic(3, 0.6))

@@ -19,8 +19,18 @@ from pptbound.linalg import (
     hermitianize,
     partial_trace,
     partial_transpose,
+    require_hermitian,
 )
 from pptbound.states import max_entangled_projector
+
+
+def test_require_hermitian_returns_exactly_hermitian_part():
+    rng = np.random.default_rng(5)
+    m = random_hermitian(rng, 5) + 1e-13 * rng.uniform(-1.0, 1.0, (5, 5))
+    assert not np.array_equal(m, m.conj().T)
+    a = require_hermitian(m)
+    assert np.array_equal(a, a.conj().T)
+    assert np.abs(a - m).max() <= 1e-13
 
 
 def test_divided_difference_log_separated_and_diagonal():

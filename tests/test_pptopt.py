@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density, random_hermitian
 from pptbound.entropy import relative_entropy, shannon_entropy
-from pptbound.formulas import bell_z2_bound, isotropic_bound, maxcorr_bound, pure_state_bound
+from pptbound.formulas import (
+    bell_z2_bound,
+    isotropic_bound,
+    maxcorr_bound,
+    nonadditivity_experiment,
+    pure_state_bound,
+)
 from pptbound.linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
@@ -565,6 +571,54 @@ def test_kkt_maxcorr_consistent_with_optimizer():
     res = minimize_rel_entropy(max_correlated(a))
     assert res.bound_bits == pytest.approx(maxcorr_bound(a).bound_bits, abs=1e-6)
     assert kkt_check_maxcorr(a).passed
+
+
+def _swap_pair():
+    """rho = P_s / 3, with P_s the projector onto the symmetric subspace of
+    two qubits, and sigma = SWAP / 2.  K = 1 - 2 P_s / 3 meets every
+    condition of the certificate, but sigma has eigenvalue -1/2 on the
+    singlet, so it is no state."""
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    rho = DensityMatrix(matrix=(np.eye(4) + swap) / 6, dims=DIMS22)
+    return rho, DensityMatrix(matrix=swap / 2, dims=DIMS22)
+
+
+@pytest.mark.parametrize("check", [kkt_check, additivity_check, relative_entropy])
+def test_pair_checks_reject_sigma_below_eig_tol(check):
+    rho, sigma = _swap_pair()
+    with pytest.raises(ValueError, match="sigma is not PSD: least eigenvalue -5.000e-01"):
+        check(rho, sigma)
+    rho = pure_state([0.8, 0.2])
+    with pytest.raises(ValueError, match="sigma is not PSD"):
+        check(rho, DensityMatrix(matrix=np.diag([0.8, -2e-10, 0.0, 0.2]).astype(complex), dims=DIMS22))
+
+
+def test_pair_checks_accept_sigma_within_eig_tol():
+    # -5e-11 sits on |01>, where the pure state has no weight.
+    rho = pure_state([0.8, 0.2])
+    sigma = DensityMatrix(matrix=np.diag([0.8, -5e-11, 0.0, 0.2]).astype(complex), dims=DIMS22)
+    assert kkt_check(rho, sigma).passed
+    assert relative_entropy(rho, sigma) == pytest.approx(shannon_entropy([0.8, 0.2]), abs=1e-12)
+    assert not additivity_check(rho, sigma).commutes
+
+
+def test_optimizer_points_are_exactly_hermitian(monkeypatch):
+    # SpectralPoint hands sigma to eigh unsymmetrized, which is exact only
+    # if every point the optimizer builds is Hermitian entry by entry.
+    dtypes = set()
+    spectral_point = pptopt.SpectralPoint
+
+    def checked(rho, sigma, *args):
+        assert np.array_equal(sigma, sigma.conj().T)
+        dtypes.add(sigma.dtype)
+        return spectral_point(rho, sigma, *args)
+
+    monkeypatch.setattr(pptopt, "SpectralPoint", checked)
+    minimize_rel_entropy(max_correlated([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]]))
+    minimize_rel_entropy(isotropic(3, 0.8))
+    minimize_rel_entropy(bell_diagonal([0.7, 0.2, 0.06, 0.04]), invariance_map=bell_twirl)
+    nonadditivity_experiment()
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
 def test_additivity_check_isotropic_self_additive():

@@ -25,7 +25,6 @@ from .linalg import (
     partial_transpose,
 )
 from .pptopt import (
-    AdditivityReport,
     KktReport,
     OptimizerConfig,
     OptimizerResult,
@@ -54,7 +53,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditivityReport",
     "BipartiteDims",
     "ClosedFormResult",
     "DensityMatrix",

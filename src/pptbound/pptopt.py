@@ -71,13 +71,7 @@ NONMONOTONE_MEMORY = 10
 # states (rho = g g^dag, g a complex Gaussian of default_rng(9010 + s),
 # s = 0-5; process CPU time on one Xeon core), at 1e-8 the solves take
 # 41-107 iterations, 0-18 capped projections and 0.05-11 s, and end 9.4e-5
-# to 1.3e-2 bits above the Schmidt entropy.  Measured before project_ppt
-# gained its one-cycle exit: at DEFAULT_FLOOR they took 493-1,061
-# iterations, 48-431 capped projections and 35-265 s, and ended 5.2e-8 to
-# 5.7e-4 bits above.  Both halves, the wall and the freeze, were
-# load-bearing: lowering only the wall made all six 31-860x slower
-# (2.4-63 s, and one had not finished after 35 min), and lowering only the
-# freeze made four of them 130-4,000x slower (40-260 s).
+# to 1.3e-2 bits above the Schmidt entropy.
 FACE_TOL = 1e-8
 # Least weight of I/n mixed into a final sigma that touches the cone
 # boundary, so the reported bound is evaluated where sigma is positive
@@ -87,8 +81,7 @@ FINAL_MIX = 1e-9
 # between its two iterates and the move of the returned one.
 DYKSTRA_ITERS = 5000
 DYKSTRA_TOL = 1e-11
-# Tolerance of the certificates: is_ppt, both KKT checks and
-# additivity_check.
+# Tolerance of the certificates: is_ppt and both KKT checks.
 CERT_TOL = 1e-8
 
 
@@ -125,12 +118,20 @@ class OptimizerResult:
 
 @dataclass(eq=False)
 class KktReport:
-    """First-order optimality certificate for sigma against rho.
+    """First-order optimality and self-additivity certificates for sigma
+    against rho, both read off the multiplier K and its partial transpose.
 
     ``passed`` asserts that sigma is PPT, complementarity, and positive
     semidefiniteness of the transposed multiplier, all within tolerance.
     This certifies optimality; its failure on a particular sigma does not
     by itself bound the optimum away from sigma's value.
+
+    ``grad_pt_min_eig`` is the least eigenvalue of the partial transpose
+    of the gradient, 1 - K^Gamma.  When rho and sigma commute
+    (``commutes``), its being >= 0 certifies that sigma tensor tau stays
+    optimal for rho tensor any state (``additive_universal``), and >= -1
+    that sigma tensor sigma stays optimal for rho tensor rho
+    (``additive_self``).  A non-commuting pair is certified neither way.
     """
 
     k_matrix: np.ndarray
@@ -138,25 +139,16 @@ class KktReport:
     k_gamma_min_eig: float
     sigma_gamma_min_eig: float
     passed: bool
-
-
-@dataclass(eq=False)
-class AdditivityReport:
-    commutes: bool
     commutator_norm: float
     grad_pt_min_eig: float
+    commutes: bool
     additive_universal: bool
     additive_self: bool
 
 
-def _gamma_min_eig(m: np.ndarray, dims: BipartiteDims) -> float:
-    """Least eigenvalue of the partial transpose of the Hermitian ``m``."""
-    return float(np.linalg.eigvalsh(partial_transpose(m, dims))[0])
-
-
 def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
     """Whether the partial transpose of rho, which must be Hermitian, is PSD."""
-    low = _gamma_min_eig(require_hermitian(rho.matrix, what="rho"), rho.dims)
+    low = float(np.linalg.eigvalsh(partial_transpose(require_hermitian(rho.matrix, what="rho"), rho.dims))[0])
     return PptCheck(ok=low >= -tol, min_eig=low)
 
 
@@ -234,11 +226,12 @@ def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:
 
 def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
     """Mix sigma, whose least eigenvalue is ``low``, with eps I/n where
-    eps = FINAL_MIX + n max(0, -low): the result is positive definite even
-    when a projection left a positivity residual, and, since the partial
-    transpose fixes I, it stays PPT and of unit trace."""
+    eps = max(FINAL_MIX, 2 n DEFAULT_FLOOR) + n max(0, -low): the result's
+    least eigenvalue is at least 2 DEFAULT_FLOOR, clear of the kernel wall
+    at every n, even when a projection left a positivity residual, and,
+    since the partial transpose fixes I, it stays PPT and of unit trace."""
     n = sigma.shape[0]
-    eps = FINAL_MIX + n * max(0.0, -low)
+    eps = max(FINAL_MIX, 2 * n * DEFAULT_FLOOR) + n * max(0.0, -low)
     return (1.0 - eps) * sigma + (eps / n) * np.eye(n)
 
 
@@ -283,9 +276,10 @@ def minimize_rel_entropy(
     iterate gives a valid upper bound, so the returned value is certified
     from above even when the convergence flag is false.  A final sigma with
     an eigenvalue at or under DEFAULT_FLOOR is mixed with enough of I/n to
-    outweigh any negative eigenvalue (at least FINAL_MIX), which keeps it
-    PPT, and the bound is the relative entropy at the mixed sigma, at the
-    kernel wall DEFAULT_FLOOR instead of FACE_TOL.  Projections that used
+    outweigh any negative eigenvalue (at least FINAL_MIX and at least
+    2 n DEFAULT_FLOOR), which keeps it PPT, and the bound is the relative
+    entropy at the mixed sigma, at the kernel wall DEFAULT_FLOOR instead of
+    FACE_TOL.  Projections that used
     up their cycle budget are counted in ``capped_projections``, and the
     largest positivity deficiency any projection left is
     ``max_projection_residual``.  ``initial`` is read after the PPT exit;
@@ -375,7 +369,8 @@ def minimize_rel_entropy(
 
 
 def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -> KktReport:
-    """Optimality certificate for a PPT candidate sigma of any rank.
+    """Optimality and self-additivity certificates for a PPT candidate
+    sigma of any rank.
 
     Builds K = 1 - G, with G the gradient of Tr(rho ln sigma) at sigma with
     sigma's kernel frozen (:func:`~pptbound.linalg.dd_gradient`), and
@@ -383,7 +378,10 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     satisfy sigma^G K^G = 0 and K^G >= 0, all within tolerance.  The
     multiplier of sigma >= 0 is zero, which meets its conditions at any
     rank; when rho has no weight on sigma's kernel the frozen gradient is
-    the gradient.  rho must be Hermitian and sigma PSD within EIG_TOL
+    the gradient.  The one spectrum of K^G gives both k_gamma_min_eig =
+    lambda_min(K^G) and grad_pt_min_eig = 1 - lambda_max(K^G); the
+    commutator and additivity flags of :class:`KktReport` are judged at the
+    same ``tol``.  rho must be Hermitian and sigma PSD within EIG_TOL
     (ValueError), with no rho-weight above DEFAULT_SUPPORT_TOL on its
     kernel (SupportError, the rule of :func:`~pptbound.entropy.relative_entropy`).
     """
@@ -391,15 +389,25 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     sig_mat = np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex)
     k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - dd_gradient(rho.matrix, sig_mat)
-    residual = frobenius(partial_transpose(sig_mat, rho.dims) @ partial_transpose(k_matrix, rho.dims))
-    min_eig = _gamma_min_eig(k_matrix, rho.dims)
-    sigma_min_eig = _gamma_min_eig(sig_mat, rho.dims)
+    sig_gamma = partial_transpose(sig_mat, rho.dims)
+    k_gamma = partial_transpose(k_matrix, rho.dims)
+    residual = frobenius(sig_gamma @ k_gamma)
+    k_eigs = np.linalg.eigvalsh(k_gamma)
+    min_eig, grad_min_eig = float(k_eigs[0]), 1.0 - float(k_eigs[-1])
+    sigma_min_eig = float(np.linalg.eigvalsh(sig_gamma)[0])
+    comm_norm = frobenius(rho.matrix @ sig_mat - sig_mat @ rho.matrix)
+    commutes = comm_norm <= tol
     return KktReport(
         k_matrix=k_matrix,
         complementarity_residual=residual,
         k_gamma_min_eig=min_eig,
         sigma_gamma_min_eig=sigma_min_eig,
         passed=residual <= tol and min(min_eig, sigma_min_eig) >= -tol,
+        commutator_norm=comm_norm,
+        grad_pt_min_eig=grad_min_eig,
+        commutes=commutes,
+        additive_universal=commutes and grad_min_eig >= -tol,
+        additive_self=commutes and grad_min_eig >= -1.0 - tol,
     )
 
 
@@ -420,24 +428,5 @@ def kkt_check_maxcorr(alpha: np.ndarray, tol: float = CERT_TOL) -> KktReport:
     return kkt_check(max_correlated(a), max_correlated(np.diag(d)), tol)
 
 
-def additivity_check(rho: DensityMatrix, sigma: DensityMatrix) -> AdditivityReport:
-    """Commutation-based additivity test for an optimal pair (rho, sigma).
-
-    For commuting pairs, the partial transpose of the gradient matrix being
-    positive semidefinite certifies that sigma tensor tau stays optimal for
-    rho tensor any state (universal); eigenvalues no lower than -1 certify
-    optimality of sigma tensor sigma for the two-copy state (self).
-    """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    comm = rho.matrix @ sigma.matrix - sigma.matrix @ rho.matrix
-    comm_norm = frobenius(comm)
-    commutes = comm_norm <= CERT_TOL
-    min_eig = _gamma_min_eig(dd_gradient(rho.matrix, sigma.matrix), rho.dims)
-    return AdditivityReport(
-        commutes=commutes,
-        commutator_norm=comm_norm,
-        grad_pt_min_eig=min_eig,
-        additive_universal=commutes and min_eig >= -CERT_TOL,
-        additive_self=commutes and min_eig >= -1.0 - CERT_TOL,
-    )
+# The self-additivity test is the same report; the name is kept for callers.
+additivity_check = kkt_check

@@ -20,6 +20,7 @@ from pptbound.linalg import (
     HermiticityError,
     SupportError,
     _simplex,
+    dd_gradient,
     divided_difference_log,
     frobenius,
     hermitianize,
@@ -29,7 +30,6 @@ from pptbound import pptopt
 from pptbound.pptopt import (
     OptimizerConfig,
     _mix_with_identity,
-    additivity_check,
     is_ppt,
     kkt_check,
     kkt_check_maxcorr,
@@ -421,6 +421,14 @@ def test_final_mix_outweighs_negative_eigenvalue():
     assert np.isfinite(relative_entropy(isotropic(2, 0.9), state))
 
 
+def test_mix_with_identity_clears_the_kernel_wall_at_large_n():
+    # A fixed FINAL_MIX weight would leave FINAL_MIX / n under DEFAULT_FLOOR.
+    n = 1024
+    sigma = np.zeros((n, n))
+    sigma[0, 0] = 1.0
+    assert np.diag(_mix_with_identity(sigma, 0.0)).min() > DEFAULT_FLOOR
+
+
 def test_kkt_check_passes_on_counterexample_pair():
     rho, sigma = counterexample_pair()
     report = kkt_check(rho, sigma, tol=1e-8)
@@ -497,7 +505,7 @@ def test_kkt_check_rejects_wrong_singular_optimum():
     assert report.k_gamma_min_eig == pytest.approx(-0.6, rel=1e-12)
 
 
-@pytest.mark.parametrize("check", [kkt_check, additivity_check])
+@pytest.mark.parametrize("check", [kkt_check, relative_entropy])
 def test_pair_checks_reject_mismatched_dims(check):
     with pytest.raises(ValueError, match="dimension mismatch: rho 2x2, sigma 3x3"):
         check(isotropic(2, 0.9), isotropic(3, 0.5))
@@ -583,7 +591,7 @@ def _swap_pair():
     return rho, DensityMatrix(matrix=swap / 2, dims=DIMS22)
 
 
-@pytest.mark.parametrize("check", [kkt_check, additivity_check, relative_entropy])
+@pytest.mark.parametrize("check", [kkt_check, relative_entropy])
 def test_pair_checks_reject_sigma_below_eig_tol(check):
     rho, sigma = _swap_pair()
     with pytest.raises(ValueError, match="sigma is not PSD: least eigenvalue -5.000e-01"):
@@ -597,9 +605,10 @@ def test_pair_checks_accept_sigma_within_eig_tol():
     # -5e-11 sits on |01>, where the pure state has no weight.
     rho = pure_state([0.8, 0.2])
     sigma = DensityMatrix(matrix=np.diag([0.8, -5e-11, 0.0, 0.2]).astype(complex), dims=DIMS22)
-    assert kkt_check(rho, sigma).passed
+    report = kkt_check(rho, sigma)
+    assert report.passed
+    assert not report.commutes
     assert relative_entropy(rho, sigma) == pytest.approx(shannon_entropy([0.8, 0.2]), abs=1e-12)
-    assert not additivity_check(rho, sigma).commutes
 
 
 def test_optimizer_points_are_exactly_hermitian(monkeypatch):
@@ -624,7 +633,7 @@ def test_optimizer_points_are_exactly_hermitian(monkeypatch):
 def test_additivity_check_isotropic_self_additive():
     rho = isotropic(2, 0.9)
     sigma = isotropic_bound(2, 0.9).sigma_opt
-    report = additivity_check(rho, sigma)
+    report = kkt_check(rho, sigma)
     assert report.commutes
     assert report.commutator_norm <= 1e-12
     assert report.grad_pt_min_eig == pytest.approx(-0.6, abs=1e-9)
@@ -633,8 +642,11 @@ def test_additivity_check_isotropic_self_additive():
 
 
 def test_additivity_check_counterexample_not_certified():
+    # The paper's phenomenon in one report: sigma is optimal for rho, but
+    # nothing certifies sigma tensor sigma for rho tensor rho.
     rho, sigma = counterexample_pair()
-    report = additivity_check(rho, sigma)
+    report = kkt_check(rho, sigma)
+    assert report.passed
     assert not report.commutes
     assert not report.additive_self
     assert not report.additive_universal
@@ -642,7 +654,48 @@ def test_additivity_check_counterexample_not_certified():
 
 def test_additivity_check_universal_for_separable_diagonal():
     rho = density_matrix(np.diag([0.4, 0.1, 0.2, 0.3]), DIMS22)
-    report = additivity_check(rho, rho)
+    report = kkt_check(rho, rho)
     assert report.commutes
     assert report.additive_universal
+
+
+def _gradient_pairs():
+    rng = np.random.default_rng(106)
+    diag = density_matrix(np.diag([0.4, 0.1, 0.2, 0.3]), DIMS22)
+    pairs = [(isotropic(k, f), isotropic_bound(k, f).sigma_opt) for k, f in ((2, 0.9), (3, 0.8))]
+    pairs += [counterexample_pair(), (diag, diag)]
+    pairs += [
+        tuple(density_matrix(np.diag(rng.dirichlet(np.ones(4))), DIMS22) for _ in range(2)) for _ in range(3)
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "rho, sigma",
+    _gradient_pairs(),
+    ids=[
+        "isotropic-2", "isotropic-3", "counterexample", "separable-diagonal", "diagonal-0", "diagonal-1", "diagonal-2"
+    ],
+)
+def test_kkt_check_grad_pt_min_eig_is_the_gradient_spectrum(rho, sigma):
+    # 1 - lambda_max(K^Gamma) against a separate spectrum of the gradient's
+    # partial transpose.
+    want = np.linalg.eigvalsh(partial_transpose(dd_gradient(rho.matrix, sigma.matrix), rho.dims))[0]
+    assert abs(kkt_check(rho, sigma).grad_pt_min_eig - want) <= 1e-14
+
+
+def test_kkt_check_transposes_and_diagonalizes_each_matrix_once(monkeypatch):
+    calls = {"partial_transpose": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pptopt, "partial_transpose", counted("partial_transpose", pptopt.partial_transpose))
+    monkeypatch.setattr(pptopt.np.linalg, "eigvalsh", counted("eigvalsh", pptopt.np.linalg.eigvalsh))
+    kkt_check(*counterexample_pair())
+    assert calls == {"partial_transpose": 2, "eigvalsh": 2}
 

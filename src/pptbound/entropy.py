@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, require_hermitian
-from .states import DensityMatrix, check_probabilities
+from .states import DensityMatrix, check_probabilities, check_unit_trace
 
 LN2 = math.log(2.0)
 
@@ -39,21 +39,17 @@ def entropy_nats(rho_mat: np.ndarray) -> float:
     return _entropy_of(w)
 
 
-def relative_entropy_nats(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    """S(rho||sigma) in nats of rho and sigma PSD within EIG_TOL, or ValueError;
-    +inf when rho leaves the support of sigma, by the rule of
-    :meth:`~pptbound.linalg.SpectralPoint.divergence` at DEFAULT_FLOOR."""
-    if rho_mat.shape != sigma_mat.shape:
-        raise ValueError(f"shape mismatch: rho {rho_mat.shape}, sigma {sigma_mat.shape}")
-    point = SpectralPoint(rho_mat, require_hermitian(sigma_mat, what="sigma"))
-    if point.eigenvalues[0] < -EIG_TOL:
-        raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
-    return point.divergence(-entropy_nats(rho_mat))
-
-
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Relative entropy S(rho||sigma) = Tr rho (log2 rho - log2 sigma) in bits."""
+    """S(rho||sigma) = Tr rho (log2 rho - log2 sigma) in bits, of rho and
+    sigma PSD within EIG_TOL and of unit trace within INPUT_TOL, or
+    ValueError; +inf when rho leaves the support of sigma, by the rule of
+    :meth:`~pptbound.linalg.SpectralPoint.divergence` at DEFAULT_FLOOR."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    value = relative_entropy_nats(rho.matrix, sigma.matrix)
+    check_unit_trace(rho, "rho")
+    check_unit_trace(sigma, "sigma")
+    point = SpectralPoint(rho.matrix, require_hermitian(sigma.matrix, what="sigma"))
+    if point.eigenvalues[0] < -EIG_TOL:
+        raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
+    value = point.divergence(-entropy_nats(rho.matrix))
     return value if math.isinf(value) else value / LN2

@@ -44,7 +44,7 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, check_alpha, check_probabilities, max_correlated, phase_mask
+from .states import DensityMatrix, check_alpha, check_probabilities, check_unit_trace, max_correlated, phase_mask
 
 # First spectral step 1/n: the gradient at I/n is n rho, so the move is rho.
 # Armijo sufficient-decrease constant and backtracking factor of the search.
@@ -282,9 +282,11 @@ def minimize_rel_entropy(
     FACE_TOL.  Projections that used
     up their cycle budget are counted in ``capped_projections``, and the
     largest positivity deficiency any projection left is
-    ``max_projection_residual``.  ``initial`` is read after the PPT exit;
+    ``max_projection_residual``.  A rho whose trace is not 1 within
+    INPUT_TOL raises ValueError.  ``initial`` is read after the PPT exit;
     one that is not finite, Hermitian and of rho's dims raises ValueError.
     """
+    check_unit_trace(rho, "rho")
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
     real = not np.imag(rho.matrix).any()

@@ -57,16 +57,23 @@ class DensityMatrix:
             raise ValueError(f"positivity invariant violated: min eigenvalue = {low:.3e}")
 
 
+def check_unit_trace(state: DensityMatrix, what: str) -> None:
+    """ValueError unless the trace of ``state`` is 1 within INPUT_TOL."""
+    tr = complex(np.trace(state.matrix))
+    if abs(tr - 1.0) > INPUT_TOL:
+        raise ValueError(f"{what} trace = {tr:.15g} is not 1 within {INPUT_TOL:g}")
+
+
 def density_matrix(matrix: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
     """The admitting constructor: ValueError naming the violated invariant
     unless ``matrix`` is a state within INPUT_TOL.  A matrix valid at
     working precision comes back untouched, so a dump/load cycle is
     bit-exact; any other is replaced by the Frobenius-nearest state."""
     dm = DensityMatrix(matrix=np.asarray(matrix, dtype=complex), dims=dims)
-    dm.validate(INPUT_TOL)
     try:
         dm.validate()
     except ValueError:
+        dm.validate(INPUT_TOL)
         dm = DensityMatrix(matrix=hermitianize(_spectraplex_project(hermitianize(dm.matrix))), dims=dims)
         dm.validate()
     return dm
@@ -157,13 +164,10 @@ def max_correlated(alpha: np.ndarray) -> DensityMatrix:
 
 
 def pure_state(schmidt: np.ndarray) -> DensityMatrix:
-    """Projector onto sum_i sqrt(schmidt_i) |ii>."""
-    p = check_probabilities(schmidt, "Schmidt coefficients")
-    k = p.size
-    v = np.zeros(k * k, dtype=complex)
-    v[:: k + 1] = np.sqrt(p)
-    v /= np.linalg.norm(v)
-    return DensityMatrix(matrix=np.outer(v, v.conj()), dims=BipartiteDims(k, k))
+    """Projector onto sum_i sqrt(schmidt_i) |ii>: the maximally correlated
+    state of the rank-one alpha = sqrt(schmidt) sqrt(schmidt)^T."""
+    s = np.sqrt(check_probabilities(schmidt, "Schmidt coefficients"))
+    return max_correlated(np.outer(s, s))
 
 
 def counterexample_pair() -> tuple[DensityMatrix, DensityMatrix]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density
-from pptbound.entropy import LN2, entropy_nats, relative_entropy, relative_entropy_nats, shannon_entropy
+from pptbound.entropy import LN2, entropy_nats, relative_entropy, shannon_entropy
 from pptbound.linalg import BipartiteDims
 from pptbound.states import DensityMatrix, entanglement_fidelity, isotropic, pure_state
 
@@ -95,8 +95,8 @@ def test_relative_entropy_additive_over_tensor():
     rng = np.random.default_rng(14)
     r1, s1 = random_density(rng, 4), random_definite_density(rng, 4)
     r2, s2 = random_density(rng, 4), random_definite_density(rng, 4)
-    lhs = relative_entropy_nats(np.kron(r1, r2), np.kron(s1, s2))
-    rhs = relative_entropy_nats(r1, s1) + relative_entropy_nats(r2, s2)
+    lhs = relative_entropy(_dm(np.kron(r1, r2), 4, 4), _dm(np.kron(s1, s2), 4, 4))
+    rhs = relative_entropy(_dm(r1, 2, 2), _dm(s1, 2, 2)) + relative_entropy(_dm(r2, 2, 2), _dm(s2, 2, 2))
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -119,6 +119,18 @@ def test_entropy_rejects_rho_below_eig_tol():
     assert entropy_nats(np.diag([0.5, 0.5, -5e-11])) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_relative_entropy_rejects_trace_off_one():
+    rho = isotropic(2, 0.9)
+    doubled = _dm(2 * rho.matrix, 2, 2)
+    with pytest.raises(ValueError, match="rho trace = 2"):
+        relative_entropy(doubled, rho)
+    with pytest.raises(ValueError, match="sigma trace = 2"):
+        relative_entropy(rho, doubled)
+    near = _dm(np.diag([0.25, 0.25, 0.25, 0.25 - 5e-11]), 2, 2)
+    assert relative_entropy(near, near) == pytest.approx(0.0, abs=1e-12)
+    assert relative_entropy(rho, near) == pytest.approx(relative_entropy(rho, _dm(np.eye(4) / 4, 2, 2)), abs=1e-9)
+
+
 def test_relative_entropy_dimension_mismatch():
     with pytest.raises(ValueError):
         relative_entropy(isotropic(2, 0.6), isotropic(3, 0.6))
@@ -129,8 +141,10 @@ def test_relative_entropy_jointly_convex_spot():
     lam = 0.3
     r1, s1 = random_density(rng, 4), random_definite_density(rng, 4)
     r2, s2 = random_density(rng, 4), random_definite_density(rng, 4)
-    mixed = relative_entropy_nats(lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2)
-    split = lam * relative_entropy_nats(r1, s1) + (1 - lam) * relative_entropy_nats(r2, s2)
+    mixed = relative_entropy(_dm(lam * r1 + (1 - lam) * r2, 2, 2), _dm(lam * s1 + (1 - lam) * s2, 2, 2))
+    split = lam * relative_entropy(_dm(r1, 2, 2), _dm(s1, 2, 2)) + (1 - lam) * relative_entropy(
+        _dm(r2, 2, 2), _dm(s2, 2, 2)
+    )
     assert mixed <= split + 1e-10
 
 

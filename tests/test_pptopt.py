@@ -314,6 +314,16 @@ def test_minimize_rejects_bad_initial(initial):
         minimize_rel_entropy(isotropic(2, 0.9), initial=initial)
 
 
+def test_minimize_rejects_trace_off_one():
+    rho = isotropic(2, 0.9)
+    for m in (2 * rho.matrix, np.eye(4, dtype=complex) / 2):
+        with pytest.raises(ValueError, match="rho trace = 2"):
+            minimize_rel_entropy(DensityMatrix(matrix=m, dims=DIMS22))
+    near = minimize_rel_entropy(DensityMatrix(matrix=(1 - 5e-11) * rho.matrix, dims=DIMS22))
+    assert near.converged
+    assert near.bound_bits == pytest.approx(isotropic_bound(2, 0.9).bound_bits, abs=1e-7)
+
+
 def test_minimize_iteration_cap_reports_nonconvergence():
     cfg = OptimizerConfig(max_iters=1, grad_map_tol=1e-15)
     res = minimize_rel_entropy(isotropic(2, 0.9), cfg)
@@ -491,11 +501,12 @@ def test_kkt_check_rejects_singular_sigma():
 def test_kkt_check_certifies_pure_state_schmidt_optimum(p):
     # sigma_opt keeps the Schmidt weights on |ii> and is singular on every
     # |ij>, i != j, where the pure state has no weight.
-    report = kkt_check(pure_state(p), pure_state_bound(p).sigma_opt)
-    assert report.passed
-    assert report.complementarity_residual <= 1e-14
-    assert report.k_gamma_min_eig >= -1e-14
-    assert report.sigma_gamma_min_eig >= -1e-14
+    s = np.sqrt(p)
+    for report in (kkt_check(pure_state(p), pure_state_bound(p).sigma_opt), kkt_check_maxcorr(np.outer(s, s))):
+        assert report.passed
+        assert report.complementarity_residual <= 1e-14
+        assert report.k_gamma_min_eig >= -1e-14
+        assert report.sigma_gamma_min_eig >= -1e-14
 
 
 def test_kkt_check_rejects_wrong_singular_optimum():

@@ -78,6 +78,20 @@ def test_admission_keeps_valid_input_and_snaps_the_gray_band():
     assert snapped.min() >= 0.0 and abs(snapped.sum() - 1.0) <= 1e-15
 
 
+def test_density_matrix_takes_one_spectrum_of_a_valid_state(monkeypatch):
+    m = random_density(np.random.default_rng(33), 6)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert np.array_equal(density_matrix(m, BipartiteDims(2, 3)).matrix, m)
+    assert calls == [(6, 6)]
+
+
 def test_phi_plus_projector():
     for k in (2, 3):
         v = phi_plus(k)
@@ -206,6 +220,28 @@ def test_pure_state_rank_one_and_validation():
         pure_state(np.array([0.8, 0.1]))
     with pytest.raises(ValueError):
         pure_state(np.array([1.0]))
+
+
+def _pure_state_from_vector(p):
+    """Reference: the projector onto the renormalized vector
+    sum_i sqrt(p_i) |ii>, built entry by entry."""
+    k = len(p)
+    v = np.zeros(k * k, dtype=complex)
+    v[:: k + 1] = np.sqrt(p)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pure_state_is_the_rank_one_max_correlated_state(seed):
+    rng = np.random.default_rng(seed)
+    vectors = [[0.8, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.6, 0.4 - 1e-9, 1e-9]]
+    vectors += [rng.dirichlet(np.ones(k)) for k in (2, 3, 4, 5)]
+    for p in vectors:
+        s = np.sqrt(np.asarray(p))
+        rho = pure_state(p)
+        assert np.array_equal(rho.matrix, max_correlated(np.outer(s, s)).matrix)
+        assert np.abs(rho.matrix - _pure_state_from_vector(p)).max() <= 1e-15
 
 
 def test_tensor_regroups_and_partial_traces_factor():

@@ -81,7 +81,7 @@ FINAL_MIX = 1e-9
 # between its two iterates and the move of the returned one.
 DYKSTRA_ITERS = 5000
 DYKSTRA_TOL = 1e-11
-# Tolerance of the certificates: is_ppt and both KKT checks.
+# Tolerance of the certificates: is_ppt and kkt_check.
 CERT_TOL = 1e-8
 
 
@@ -383,12 +383,16 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     the gradient.  The one spectrum of K^G gives both k_gamma_min_eig =
     lambda_min(K^G) and grad_pt_min_eig = 1 - lambda_max(K^G); the
     commutator and additivity flags of :class:`KktReport` are judged at the
-    same ``tol``.  rho must be Hermitian and sigma PSD within EIG_TOL
-    (ValueError), with no rho-weight above DEFAULT_SUPPORT_TOL on its
-    kernel (SupportError, the rule of :func:`~pptbound.entropy.relative_entropy`).
+    same ``tol``.  rho and sigma must have unit trace within INPUT_TOL (K
+    is invariant under scaling both, so a scaled pair would otherwise pass),
+    rho Hermitian and sigma PSD within EIG_TOL (ValueError), with no
+    rho-weight above DEFAULT_SUPPORT_TOL on sigma's kernel (SupportError,
+    the rule of :func:`~pptbound.entropy.relative_entropy`).
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
+    check_unit_trace(rho, "rho")
+    check_unit_trace(sigma, "sigma")
     sig_mat = np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex)
     k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - dd_gradient(rho.matrix, sig_mat)
     sig_gamma = partial_transpose(sig_mat, rho.dims)

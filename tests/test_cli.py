@@ -207,11 +207,23 @@ def test_cli_import_loads_no_test_extra():
 
 
 def test_cli_imports_with_scipy_blocked():
-    # scipy is a test extra: src/ must import, lazily or not, without it.
-    code = "import sys; sys.modules['scipy'] = None; import pptbound.cli"
+    # scipy is a test extra: every module of src/ must import, lazily or not,
+    # without it.  Each is imported by name, so the check does not depend on
+    # which modules cli happens to import; and the package re-exports nothing,
+    # so its only public names are its modules.
+    code = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import pptbound
+names = [m.name for m in pkgutil.iter_modules(pptbound.__path__)]
+for name in names:
+    importlib.import_module("pptbound." + name)
+print(*sorted(k for k in vars(pptbound) if not k.startswith("_") and k not in names))
+"""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_experiment_bell_scan_csv(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_definite_density, random_density
 from pptbound.entropy import LN2, entropy_nats, relative_entropy, shannon_entropy
 from pptbound.linalg import BipartiteDims
+from pptbound.pptopt import kkt_check
 from pptbound.states import DensityMatrix, entanglement_fidelity, isotropic, pure_state
 
 
@@ -119,14 +120,18 @@ def test_entropy_rejects_rho_below_eig_tol():
     assert entropy_nats(np.diag([0.5, 0.5, -5e-11])) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_relative_entropy_rejects_trace_off_one():
+@pytest.mark.parametrize("check", [kkt_check, relative_entropy])
+def test_pair_checks_reject_trace_off_one(check):
     rho = isotropic(2, 0.9)
     doubled = _dm(2 * rho.matrix, 2, 2)
     with pytest.raises(ValueError, match="rho trace = 2"):
-        relative_entropy(doubled, rho)
+        check(doubled, rho)
     with pytest.raises(ValueError, match="sigma trace = 2"):
-        relative_entropy(rho, doubled)
+        check(rho, doubled)
     near = _dm(np.diag([0.25, 0.25, 0.25, 0.25 - 5e-11]), 2, 2)
+    if check is kkt_check:
+        assert check(near, near).passed
+        return
     assert relative_entropy(near, near) == pytest.approx(0.0, abs=1e-12)
     assert relative_entropy(rho, near) == pytest.approx(relative_entropy(rho, _dm(np.eye(4) / 4, 2, 2)), abs=1e-9)
 

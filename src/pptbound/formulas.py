@@ -118,12 +118,13 @@ def nonadditivity_experiment(
 
     The single-copy value b1 is evaluated in closed form at the certified
     optimizer sigma; the two-copy value b2 comes from the numerical
-    optimizer on rho tensor rho.  Since any feasible iterate upper-bounds
+    optimizer on rho tensor rho, started at sigma tensor sigma, the point
+    that ``kkt_double`` refutes.  Since any feasible iterate upper-bounds
     the true optimum, gap = 2 b1 - b2 can only understate the real deficit,
     so a positive gap is a certificate of non-additivity.  ``restarts``
-    extra runs from random feasible starting points gauge the
-    reproducibility of b2; their scatter is the accuracy figure the gap
-    should be measured against.
+    extra runs, each from a random feasible starting point drawn with
+    ``seed``, gauge the reproducibility of b2; their scatter is the
+    accuracy figure the gap should be measured against.
     """
     cfg = cfg or EXPERIMENT_CONFIG
     rho, sigma = counterexample_pair()
@@ -132,7 +133,7 @@ def nonadditivity_experiment(
     rho2 = tensor(rho, rho)
     sigma2 = tensor(sigma, sigma)
     kkt_double = kkt_check(rho2, sigma2)
-    result = minimize_rel_entropy(rho2, cfg)
+    result = minimize_rel_entropy(rho2, cfg, initial=sigma2)
     rng = np.random.default_rng(seed)
     n = rho2.dim
     extra = []

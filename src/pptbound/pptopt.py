@@ -235,6 +235,11 @@ def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
     return (1.0 - eps) * sigma + (eps / n) * np.eye(n)
 
 
+def _in_arithmetic(mat: np.ndarray, real: bool) -> np.ndarray:
+    """``mat`` in float64 (its real part) when ``real``, else in complex128."""
+    return np.real(mat) if real else np.asarray(mat, dtype=complex)
+
+
 def minimize_rel_entropy(
     rho: DensityMatrix,
     cfg: OptimizerConfig | None = None,
@@ -283,15 +288,18 @@ def minimize_rel_entropy(
     up their cycle budget are counted in ``capped_projections``, and the
     largest positivity deficiency any projection left is
     ``max_projection_residual``.  A rho whose trace is not 1 within
-    INPUT_TOL raises ValueError.  ``initial`` is read after the PPT exit;
-    one that is not finite, Hermitian and of rho's dims raises ValueError.
+    INPUT_TOL raises ValueError.  ``initial`` is admitted after the PPT
+    exit, then projected in the solve's arithmetic: its real part in
+    float64 when rho is real, in complex128 otherwise.  One that is not
+    finite, Hermitian and of rho's dims raises ValueError.
     """
     check_unit_trace(rho, "rho")
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
     real = not np.imag(rho.matrix).any()
-    rho_mat = require_hermitian(rho.matrix.real if real else rho.matrix.astype(complex), what="rho")
-    if is_ppt(rho, tol=1e-12).ok:
+    rho_mat = require_hermitian(_in_arithmetic(rho.matrix, real), what="rho")
+    admitted = DensityMatrix(matrix=rho_mat, dims=dims)
+    if is_ppt(admitted, tol=1e-12).ok:
         return OptimizerResult(
             bound_bits=0.0,
             sigma_opt=DensityMatrix(matrix=np.array(rho.matrix, dtype=complex), dims=dims),
@@ -300,7 +308,7 @@ def minimize_rel_entropy(
             final_grad_map_norm=0.0,
         )
     n = dims.total
-    mask = phase_mask(DensityMatrix(matrix=rho_mat, dims=dims))
+    mask = phase_mask(admitted)
     capped = 0
     worst_residual = 0.0
 
@@ -317,7 +325,7 @@ def minimize_rel_entropy(
     if initial is not None:
         if initial.dims != dims:
             raise ValueError(f"dimension mismatch: rho {dims}, initial {initial.dims}")
-        start = require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial").astype(complex)
+        start = _in_arithmetic(require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial"), real)
     sigma = project(start)
     point = SpectralPoint(rho_mat, sigma, FACE_TOL)
     f_cur = point.divergence(c0)
@@ -387,21 +395,26 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     is invariant under scaling both, so a scaled pair would otherwise pass),
     rho Hermitian and sigma PSD within EIG_TOL (ValueError), with no
     rho-weight above DEFAULT_SUPPORT_TOL on sigma's kernel (SupportError,
-    the rule of :func:`~pptbound.entropy.relative_entropy`).
+    the rule of :func:`~pptbound.entropy.relative_entropy`).  The
+    arithmetic follows the inputs, as in :func:`project_ppt`: float64 when
+    neither matrix has a nonzero imaginary part (``k_matrix`` is then
+    real), complex128 otherwise.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     check_unit_trace(rho, "rho")
     check_unit_trace(sigma, "sigma")
-    sig_mat = np.asarray(require_hermitian(sigma.matrix, what="sigma"), dtype=complex)
-    k_matrix = np.eye(sig_mat.shape[0], dtype=complex) - dd_gradient(rho.matrix, sig_mat)
+    real = not (np.imag(rho.matrix).any() or np.imag(sigma.matrix).any())
+    rho_mat = _in_arithmetic(rho.matrix, real)
+    sig_mat = require_hermitian(_in_arithmetic(sigma.matrix, real), what="sigma")
+    k_matrix = np.eye(sig_mat.shape[0], dtype=sig_mat.dtype) - dd_gradient(rho_mat, sig_mat)
     sig_gamma = partial_transpose(sig_mat, rho.dims)
     k_gamma = partial_transpose(k_matrix, rho.dims)
     residual = frobenius(sig_gamma @ k_gamma)
     k_eigs = np.linalg.eigvalsh(k_gamma)
     min_eig, grad_min_eig = float(k_eigs[0]), 1.0 - float(k_eigs[-1])
     sigma_min_eig = float(np.linalg.eigvalsh(sig_gamma)[0])
-    comm_norm = frobenius(rho.matrix @ sig_mat - sig_mat @ rho.matrix)
+    comm_norm = frobenius(rho_mat @ sig_mat - sig_mat @ rho_mat)
     commutes = comm_norm <= tol
     return KktReport(
         k_matrix=k_matrix,

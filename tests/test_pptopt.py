@@ -641,6 +641,60 @@ def test_optimizer_points_are_exactly_hermitian(monkeypatch):
     assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
+def test_real_solve_projects_a_complex_initial_in_float64(monkeypatch):
+    # A random start of the kind --restarts draws: complex, full rank.
+    rho, _ = counterexample_pair()
+    rng = np.random.default_rng(24)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    raw = g @ g.conj().T
+    start = DensityMatrix(matrix=0.9 * raw / np.trace(raw).real + 0.1 * np.eye(4) / 4, dims=rho.dims)
+    dtypes = []
+    project, spectral_point = pptopt.project_ppt, pptopt.SpectralPoint
+
+    def projected(mat, dims):
+        dtypes.append(mat.dtype)
+        return project(mat, dims)
+
+    def point(rho_mat, sigma, *args):
+        dtypes.extend((rho_mat.dtype, sigma.dtype))
+        return spectral_point(rho_mat, sigma, *args)
+
+    monkeypatch.setattr(pptopt, "project_ppt", projected)
+    monkeypatch.setattr(pptopt, "SpectralPoint", point)
+    res = minimize_rel_entropy(rho, initial=start)
+    assert res.converged
+    assert len(dtypes) > 3
+    assert set(dtypes) == {np.dtype(float)}
+
+
+def _phase_rotated(state: DensityMatrix) -> DensityMatrix:
+    """state conjugated by diag(e^{i theta_a}) (x) I, a local unitary that
+    leaves every certificate value unchanged."""
+    d = state.dims
+    u = np.kron(np.exp(1j * np.linspace(0.3, 2.1, d.d_a)), np.ones(d.d_b))
+    return DensityMatrix(matrix=u[:, None] * state.matrix * u.conj()[None, :], dims=d)
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["single", "tensor-square"])
+def test_kkt_check_real_arithmetic_agrees_with_complex(square):
+    rho, sigma = counterexample_pair()
+    if square:
+        rho, sigma = tensor(rho, rho), tensor(sigma, sigma)
+    real = kkt_check(rho, sigma)
+    rotated_rho = _phase_rotated(rho)
+    assert np.imag(rotated_rho.matrix).any()
+    cplx = kkt_check(rotated_rho, _phase_rotated(sigma))
+    assert real.k_matrix.dtype == np.float64
+    assert cplx.k_matrix.dtype == np.complex128
+    for field in (
+        "complementarity_residual", "k_gamma_min_eig", "sigma_gamma_min_eig", "grad_pt_min_eig", "commutator_norm"
+    ):
+        assert abs(getattr(real, field) - getattr(cplx, field)) <= 1e-14, field
+    for flag in ("passed", "commutes", "additive_universal", "additive_self"):
+        assert getattr(real, flag) == getattr(cplx, flag), flag
+    assert real.passed is not square
+
+
 def test_additivity_check_isotropic_self_additive():
     rho = isotropic(2, 0.9)
     sigma = isotropic_bound(2, 0.9).sigma_opt

@@ -36,6 +36,7 @@ from .linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
     SpectralPoint,
+    _in_arithmetic,
     _spectraplex_project,
     check_dims,
     dd_gradient,
@@ -233,11 +234,6 @@ def _mix_with_identity(sigma: np.ndarray, low: float) -> np.ndarray:
     n = sigma.shape[0]
     eps = max(FINAL_MIX, 2 * n * DEFAULT_FLOOR) + n * max(0.0, -low)
     return (1.0 - eps) * sigma + (eps / n) * np.eye(n)
-
-
-def _in_arithmetic(mat: np.ndarray, real: bool) -> np.ndarray:
-    """``mat`` in float64 (its real part) when ``real``, else in complex128."""
-    return np.real(mat) if real else np.asarray(mat, dtype=complex)
 
 
 def minimize_rel_entropy(

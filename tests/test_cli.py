@@ -226,6 +226,29 @@ print(*sorted(k for k in vars(pptbound) if not k.startswith("_") and k not in na
     assert proc.stdout.strip() == ""
 
 
+def test_two_copy_run_leaves_numpy_random_unloaded(tmp_path):
+    # pytest's plugins load numpy.random, so the check runs in a fresh
+    # interpreter.  The generator exists only for restarts: the experiment
+    # and the CLI command without them never import numpy.random, and one
+    # restart does (the control that keeps the check honest).
+    code = """
+import sys
+from pptbound import cli, formulas
+formulas.nonadditivity_experiment()
+print("numpy.random" in sys.modules)
+cli.main(["experiment", "nonadditivity", "--out", sys.argv[1]])
+print("numpy.random" in sys.modules)
+formulas.nonadditivity_experiment(restarts=1)
+print("numpy.random" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "na.csv")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line in ("True", "False")] == ["False", "False", "True"]
+
+
 def test_experiment_bell_scan_csv(tmp_path):
     out = tmp_path / "bell.csv"
     assert main(["experiment", "bell_scan", "--out", str(out)]) == 0

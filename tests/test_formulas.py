@@ -1,5 +1,7 @@
 """Closed-form bounds, their optimizing states, and the two-copy experiment."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from pptbound.formulas import (
     pure_state_bound,
 )
 from pptbound.linalg import frobenius, hermitianize, partial_trace
-from pptbound import pptopt
+from pptbound import formulas, pptopt
 from pptbound.pptopt import OptimizerConfig, is_ppt, kkt_check, minimize_rel_entropy
 from pptbound.states import bell_diagonal, counterexample_pair, isotropic, max_correlated, pure_state, tensor
 
@@ -211,3 +213,27 @@ def test_nonadditivity_experiment_report():
     assert rep.gap_bits > 1e-7
     assert len(rep.restart_b2_bits) == 1
     assert rep.b2_spread_bits <= 1e-6
+
+
+def test_restarts_draw_the_documented_starts(monkeypatch):
+    seen = []
+
+    def record(rho, cfg=None, invariance_map=None, initial=None):
+        seen.append(initial.matrix)
+        return SimpleNamespace(bound_bits=0.375)
+
+    monkeypatch.setattr(formulas, "minimize_rel_entropy", record)
+    nonadditivity_experiment(EXPERIMENT_CONFIG, restarts=2, seed=3)
+    _, sigma = counterexample_pair()
+    assert np.array_equal(seen[0], tensor(sigma, sigma).matrix)
+    rng = np.random.default_rng(3)
+    n = 16
+    for got in seen[1:]:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        raw = g @ g.conj().T
+        assert np.array_equal(got, 0.9 * raw / np.real(np.trace(raw)) + 0.1 * np.eye(n) / n)
+    assert len(seen) == 3
+    # Without restarts the seed is not read: numpy rejects seed -1, the run does not.
+    seen.clear()
+    nonadditivity_experiment(EXPERIMENT_CONFIG, restarts=0, seed=-1)
+    assert len(seen) == 1

@@ -26,7 +26,7 @@ from pptbound.linalg import (
     hermitianize,
     partial_transpose,
 )
-from pptbound import pptopt
+from pptbound import entropy, pptopt
 from pptbound.pptopt import (
     OptimizerConfig,
     _mix_with_identity,
@@ -131,6 +131,25 @@ def test_simplex_projection_is_the_nearest_point(values):
     # direction from q to a vertex e_i, hence with the whole simplex.
     r = w - q
     assert (r - r @ q <= 1e-12).all()
+
+
+def _simplex_by_cumsum(w):
+    """The sort/cumsum construction of the simplex threshold, kept as the
+    reference for the one-pass loop of _simplex."""
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    r = np.nonzero(u * np.arange(1, u.size + 1) > css)[0][-1]
+    return np.maximum(w - css[r] / (r + 1), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 16, 64])
+def test_simplex_matches_the_cumsum_construction(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 10.0):
+        for _ in range(50):
+            w = scale * rng.standard_normal(n)
+            for v in (w, np.sort(w)):
+                assert np.abs(_simplex(v) - _simplex_by_cumsum(v)).max() <= 1e-15
 
 
 @given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
@@ -693,6 +712,22 @@ def test_kkt_check_real_arithmetic_agrees_with_complex(square):
     for flag in ("passed", "commutes", "additive_universal", "additive_self"):
         assert getattr(real, flag) == getattr(cplx, flag), flag
     assert real.passed is not square
+
+
+def test_relative_entropy_follows_the_arithmetic_of_its_inputs(monkeypatch):
+    seen = []
+    point = entropy.SpectralPoint
+
+    def recorded(rho, sigma, *args):
+        seen.append((rho.dtype, sigma.dtype))
+        return point(rho, sigma, *args)
+
+    monkeypatch.setattr(entropy, "SpectralPoint", recorded)
+    rho, sigma = counterexample_pair()
+    assert relative_entropy(rho, sigma) == 0.18779749924411723
+    rotated = relative_entropy(_phase_rotated(rho), _phase_rotated(sigma))
+    assert seen == [(np.float64, np.float64), (np.complex128, np.complex128)]
+    assert abs(rotated - 0.18779749924411723) <= 1e-14
 
 
 def test_additivity_check_isotropic_self_additive():

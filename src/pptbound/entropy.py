@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, _in_arithmetic, require_hermitian
+from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, common_arithmetic, require_hermitian
 from .states import DensityMatrix, check_probabilities, check_unit_trace
 
 LN2 = math.log(2.0)
@@ -44,16 +44,15 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     sigma PSD within EIG_TOL and of unit trace within INPUT_TOL, or
     ValueError; +inf when rho leaves the support of sigma, by the rule of
     :meth:`~pptbound.linalg.SpectralPoint.divergence` at DEFAULT_FLOOR.
-    The arithmetic follows the inputs, as in
-    :func:`~pptbound.pptopt.project_ppt`: float64 when neither matrix has a
-    nonzero imaginary part, complex128 otherwise."""
+    The arithmetic follows the inputs, by
+    :func:`~pptbound.linalg.common_arithmetic`: float64 when neither matrix
+    has a nonzero imaginary part, complex128 otherwise."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     check_unit_trace(rho, "rho")
     check_unit_trace(sigma, "sigma")
-    real = not (np.imag(rho.matrix).any() or np.imag(sigma.matrix).any())
-    rho_mat = _in_arithmetic(rho.matrix, real)
-    point = SpectralPoint(rho_mat, require_hermitian(_in_arithmetic(sigma.matrix, real), what="sigma"))
+    rho_mat, sig_mat = common_arithmetic(rho.matrix, sigma.matrix)
+    point = SpectralPoint(rho_mat, sig_mat)
     if point.eigenvalues[0] < -EIG_TOL:
         raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
     value = point.divergence(-entropy_nats(rho_mat))

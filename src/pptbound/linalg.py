@@ -89,6 +89,14 @@ def _in_arithmetic(mat: np.ndarray, real: bool) -> np.ndarray:
     return np.real(mat) if real else np.asarray(mat, dtype=complex)
 
 
+def common_arithmetic(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho and sigma in one arithmetic: float64 when neither has a nonzero
+    imaginary part, complex128 otherwise; sigma passes
+    :func:`require_hermitian` and comes back exactly Hermitian."""
+    real = not (np.imag(rho).any() or np.imag(sigma).any())
+    return _in_arithmetic(rho, real), require_hermitian(_in_arithmetic(sigma, real), what="sigma")
+
+
 def divided_difference_log(s: np.ndarray) -> np.ndarray:
     """Table of first divided differences of ln over the values ``s``,
     clamped below at DEFAULT_FLOOR.
@@ -100,7 +108,9 @@ def divided_difference_log(s: np.ndarray) -> np.ndarray:
     sc = np.maximum(np.asarray(s, dtype=float), DEFAULT_FLOOR)
     avg = (sc[:, None] + sc[None, :]) / 2.0
     r = (sc[:, None] - sc[None, :]) / (2.0 * avg)
-    ratio = np.divide(np.arctanh(r), r, out=np.ones_like(r), where=np.abs(r) > 1e-7)
+    ratio = np.ones_like(r)
+    big = np.abs(r) > 1e-7
+    ratio[big] = np.arctanh(r[big]) / r[big]
     return ratio / avg
 
 
@@ -135,9 +145,6 @@ class SpectralPoint:
         eigenvalues above DEFAULT_FLOOR; directions under both cutoffs are
         skipped.
         """
-        # The eigenvalues ascend, so the face is empty when the least is off it.
-        if not self.face[0] and self.eigenvalues[0] > DEFAULT_FLOOR:
-            return c0 - float(self.weights @ np.log(self.eigenvalues))
         if self.leaks() is not None:
             return math.inf
         live = self.eigenvalues > DEFAULT_FLOOR
@@ -186,15 +193,11 @@ def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def _simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex
-    (Duchi et al., ICML 2008).  With u sorted descending and
-    c_k = u_1 + ... + u_k - 1, the threshold is c_k / k at the last k with
-    k u_k > c_k, found in one pass in Python floats."""
-    total, theta = 0.0, 0.0
-    for k, u in enumerate(sorted(w.tolist(), reverse=True), 1):
-        total += u
-        if u * k > total - 1.0:
-            theta = (total - 1.0) / k
-    return np.maximum(w - theta, 0.0)
+    (Duchi et al., ICML 2008): one threshold found from the sorted values."""
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    r = np.nonzero(u * np.arange(1, u.size + 1) > css)[0][-1]
+    return np.maximum(w - css[r] / (r + 1), 0.0)
 
 
 def _spectraplex_project(m: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .linalg import (
     _in_arithmetic,
     _spectraplex_project,
     check_dims,
+    common_arithmetic,
     dd_gradient,
     frobenius,
     hermitianize,
@@ -392,17 +393,16 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     rho Hermitian and sigma PSD within EIG_TOL (ValueError), with no
     rho-weight above DEFAULT_SUPPORT_TOL on sigma's kernel (SupportError,
     the rule of :func:`~pptbound.entropy.relative_entropy`).  The
-    arithmetic follows the inputs, as in :func:`project_ppt`: float64 when
-    neither matrix has a nonzero imaginary part (``k_matrix`` is then
-    real), complex128 otherwise.
+    arithmetic follows the inputs, by
+    :func:`~pptbound.linalg.common_arithmetic`: float64 when neither matrix
+    has a nonzero imaginary part (``k_matrix`` is then real), complex128
+    otherwise.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     check_unit_trace(rho, "rho")
     check_unit_trace(sigma, "sigma")
-    real = not (np.imag(rho.matrix).any() or np.imag(sigma.matrix).any())
-    rho_mat = _in_arithmetic(rho.matrix, real)
-    sig_mat = require_hermitian(_in_arithmetic(sigma.matrix, real), what="sigma")
+    rho_mat, sig_mat = common_arithmetic(rho.matrix, sigma.matrix)
     k_matrix = np.eye(sig_mat.shape[0], dtype=sig_mat.dtype) - dd_gradient(rho_mat, sig_mat)
     sig_gamma = partial_transpose(sig_mat, rho.dims)
     k_gamma = partial_transpose(k_matrix, rho.dims)

@@ -230,9 +230,12 @@ def test_two_copy_run_leaves_numpy_random_unloaded(tmp_path):
     # pytest's plugins load numpy.random, so the check runs in a fresh
     # interpreter.  The generator exists only for restarts: the experiment
     # and the CLI command without them never import numpy.random, and one
-    # restart does (the control that keeps the check honest).
+    # restart does (the control that keeps the check honest).  A numpy that
+    # imports numpy.random with numpy itself, as 1.x does, skips the check.
     code = """
 import sys
+import numpy
+print("numpy.random" in sys.modules)
 from pptbound import cli, formulas
 formulas.nonadditivity_experiment()
 print("numpy.random" in sys.modules)
@@ -246,7 +249,10 @@ print("numpy.random" in sys.modules)
         [sys.executable, "-c", code, str(tmp_path / "na.csv")], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert [line for line in proc.stdout.splitlines() if line in ("True", "False")] == ["False", "False", "True"]
+    loaded = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+    if loaded[0] == "True":
+        pytest.skip(f"numpy {np.__version__} imports numpy.random eagerly")
+    assert loaded == ["False", "False", "False", "True"]
 
 
 def test_experiment_bell_scan_csv(tmp_path):

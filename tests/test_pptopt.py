@@ -133,25 +133,6 @@ def test_simplex_projection_is_the_nearest_point(values):
     assert (r - r @ q <= 1e-12).all()
 
 
-def _simplex_by_cumsum(w):
-    """The sort/cumsum construction of the simplex threshold, kept as the
-    reference for the one-pass loop of _simplex."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    r = np.nonzero(u * np.arange(1, u.size + 1) > css)[0][-1]
-    return np.maximum(w - css[r] / (r + 1), 0.0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 9, 16, 64])
-def test_simplex_matches_the_cumsum_construction(n):
-    rng = np.random.default_rng(n)
-    for scale in (1e-3, 1.0, 10.0):
-        for _ in range(50):
-            w = scale * rng.standard_normal(n)
-            for v in (w, np.sort(w)):
-                assert np.abs(_simplex(v) - _simplex_by_cumsum(v)).max() <= 1e-15
-
-
 @given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
 @settings(max_examples=30, deadline=None)
 def test_project_ppt_is_the_nearest_ppt_state(seed, shape):

@@ -30,6 +30,8 @@ EXIT_CERT_FAIL = 3
 ISOTROPIC_SCAN_K = (2, 3)
 ISOTROPIC_SCAN_F = (0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0)
 BELL_SCAN_STEPS = 8
+# Significant digits that round-trip every float64.
+MAX_PRECISION = 17
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,16 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _count(low: int):
-    """Argparse type for an integer flag that must be at least ``low``."""
+def _count(low: int, high: int | None = None):
+    """Argparse type for an integer flag that must be at least ``low`` and,
+    when ``high`` is given, at most ``high``."""
+    wanted = f">= {low}" if high is None else f"from {low} to {high}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {wanted}, got {text!r}")
         return value
 
     return parse
@@ -173,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pptbound", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--precision", type=_count(1), default=9, help="significant digits in output")
+    output.add_argument(
+        "--precision", type=_count(1, MAX_PRECISION), default=9, help="significant digits in output"
+    )
 
     p_bound = sub.add_parser("bound", parents=[output], help="minimize relative entropy over PPT states")
     p_bound.add_argument("--state", required=True, help="state file (JSON)")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pptbound.cli import main
+from pptbound.cli import MAX_PRECISION, build_parser, main
 from pptbound.formulas import isotropic_bound
 
 RUN = [sys.executable, "-W", "error", "-m", "pptbound"]
@@ -84,6 +84,12 @@ def test_bound_precision_flag(iso_file):
     assert len(text.replace("-", "").replace(".", "").lstrip("0")) >= 11
 
 
+def test_precision_bounds_are_inclusive():
+    for digits in (1, MAX_PRECISION):
+        args = build_parser().parse_args(["bound", "--state", "s.json", "--precision", str(digits)])
+        assert args.precision == digits
+
+
 def test_bound_nonconvergence_exit_code(tmp_path):
     state = write_spec(tmp_path / "hard.json", {"family": "isotropic", "params": {"k": 2, "f": 0.9}})
     proc = run_cli("bound", "--state", state, "--max-iters", "1", "--tol", "1e-15")
@@ -132,16 +138,26 @@ def test_bound_invalid_state_names_invariant(tmp_path):
         ["kkt", "--tol", "nan"],
         ["kkt", "--tol", "0"],
         ["kkt", "--precision", "0"],
+        ["bound", "--precision", "2147483648"],
+        ["kkt", "--precision", "18"],
+        ["experiment", "--precision", "2147483648"],
     ],
 )
-def test_bad_flag_values_are_input_errors(argv, iso_file, capsys):
-    files = ["--state", iso_file] if argv[0] == "bound" else ["--rho", iso_file, "--sigma", iso_file]
+def test_bad_flag_values_are_input_errors(argv, iso_file, tmp_path, capsys):
+    # A bad value is rejected while parsing, before any solve or any output.
+    out = tmp_path / "F.csv"
+    files = {
+        "bound": ["--state", iso_file, "--out", str(out)],
+        "kkt": ["--rho", iso_file, "--sigma", iso_file],
+        "experiment": ["isotropic_scan", "--out", str(out)],
+    }[argv[0]]
     with pytest.raises(SystemExit) as exc:
         main([argv[0], *files, *argv[1:]])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert argv[1] in err
     assert repr(argv[2]) in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density, random_hermitian, random_unitary
 from pptbound.linalg import (
+    DEFAULT_FLOOR,
+    DEFAULT_SUPPORT_TOL,
     BipartiteDims,
     SpectralPoint,
     SupportError,
@@ -21,6 +23,7 @@ from pptbound.linalg import (
     partial_transpose,
     require_hermitian,
 )
+from pptbound.pptopt import FACE_TOL
 from pptbound.states import max_entangled_projector
 
 
@@ -121,6 +124,59 @@ def test_spectral_point_leak_wall_and_frozen_gradient():
     frozen = face.gradient()
     assert frozen[2, 2] == 0.0
     assert frobenius(frozen - np.diag([1.2, free[1, 1], 0.0])) <= 1e-12
+
+
+def _rotated_pair(spectrum, small):
+    """rho and sigma in one random eigenbasis of sigma = V diag(spectrum) V^dag:
+    rho carries weight ``small[i]`` on eigenvector i alone and a random state
+    on the rest."""
+    rng = np.random.default_rng(11)
+    n = len(spectrum)
+    v = random_unitary(rng, n)
+    rest = [i for i in range(n) if i not in small]
+    r = np.zeros((n, n), dtype=complex)
+    r[np.ix_(rest, rest)] = random_density(rng, len(rest)) * (1.0 - sum(small.values()))
+    for i, w in small.items():
+        r[i, i] = w
+    return hermitianize(v @ r @ v.conj().T), hermitianize((v * np.array(spectrum)) @ v.conj().T)
+
+
+@pytest.mark.parametrize(
+    "spectrum, small, wall, frozen, dead",
+    [
+        # No eigenvalue at or under the wall: nothing leaks or is frozen.
+        ([0.1, 0.2, 0.3, 0.4], {}, FACE_TOL, 0, 0),
+        # An eigenvalue exactly at the wall is in the face, and rho leaks onto it.
+        ([FACE_TOL, 0.2, 0.3, 0.5 - FACE_TOL], {0: 1e-3}, None, 1, 0),
+        # Frozen by the gradient at FACE_TOL, but over DEFAULT_FLOOR, so the
+        # divergence still counts it; rho's weight there stays under the leak
+        # tolerance.
+        ([1e-10, 0.3, 0.3, 0.4 - 1e-10], {0: DEFAULT_SUPPORT_TOL / 2}, FACE_TOL, 1, 0),
+        # Every eigenvalue but one at or under the floor.
+        ([0.0, 1e-13, 5e-13, 1.0 - 6e-13], {0: 0.0, 1: 0.0, 2: 0.0}, DEFAULT_FLOOR, 3, 3),
+    ],
+    ids=["empty-face", "eigenvalue-at-wall", "frozen-but-counted", "one-live-eigenvalue"],
+)
+def test_spectral_point_leading_runs_match_the_masks(spectrum, small, wall, frozen, dead):
+    rho, sigma = _rotated_pair(spectrum, small)
+    if wall is None:
+        wall = np.linalg.eigh(sigma)[0][0]  # the very eigenvalue SpectralPoint sees
+    point = SpectralPoint(rho, sigma, wall)
+    s, v, weights = point.eigenvalues, point.eigenvectors, point.weights
+    assert (point.frozen, point.dead) == (frozen, dead)
+    # The same three quantities from boolean masks over the spectrum.
+    face = s <= wall
+    live = s > DEFAULT_FLOOR
+    assert (face.sum(), (~live).sum()) == (frozen, dead)
+    hit = face & (weights > DEFAULT_SUPPORT_TOL)
+    leak = float(weights[hit].max()) if hit.any() else None
+    assert point.leaks() == leak
+    want = math.inf if leak is not None else 0.5 - float(weights[live] @ np.log(s[live]))
+    assert point.divergence(0.5) == want
+    f = divided_difference_log(s)
+    f[face, :] = 0.0
+    f[:, face] = 0.0
+    assert np.array_equal(point.gradient(), hermitianize(v @ (point.rho_t * f) @ v.conj().T))
 
 
 @given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))

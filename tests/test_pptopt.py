@@ -120,7 +120,15 @@ def test_project_ppt_accepts_hermitian_non_state_input():
     assert is_ppt(out.state, tol=1e-10).ok
 
 
-@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+@given(
+    st.one_of(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=256),
+        # Ties: every value drawn from a pool of at most four.
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=256)
+        ),
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_simplex_projection_is_the_nearest_point(values):
     w = np.array(values)

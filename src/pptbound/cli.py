@@ -10,10 +10,11 @@ value), 2 optimizer did not converge, 3 certificate check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -80,18 +81,28 @@ def _cell(value: object, precision: int) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[object]], precision: int) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(v, precision) for v in row] for row in rows)
+def _open_out(path: str | None):
+    """``--out`` opened before the run, so a path that cannot be written
+    fails (exit 1) before any solve; a null context when there is none."""
+    return contextlib.nullcontext() if path is None else open(path, "w", newline="", encoding="utf-8")
+
+
+def _write_csv(fh: TextIO, header: list[str], rows: list[list[object]], precision: int) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v, precision) for v in row] for row in rows)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     state = load_state(args.state)
     cfg = OptimizerConfig(max_iters=args.max_iters, grad_map_tol=args.tol)
-    result = minimize_rel_entropy(state, cfg)
     p = args.precision
+    with _open_out(args.out) as fh:
+        result = minimize_rel_entropy(state, cfg)
+        if fh is not None:
+            header = ["state", "bound_bits", "converged", "iterations", "grad_map_norm"]
+            row = [args.state, result.bound_bits, result.converged, result.iterations, result.final_grad_map_norm]
+            _write_csv(fh, header, [row], p)
     d = state.dims
     print(f"state: {args.state} ({d.total}x{d.total}, dims {d})")
     print(f"bound_bits = {_cell(result.bound_bits, p)}")
@@ -104,10 +115,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if d.d_a == d.d_b >= 2:
         fid = entanglement_fidelity(result.sigma_opt.matrix, d.d_a)
         print(f"sigma_opt entanglement fidelity = {_cell(fid, p)}")
-    if args.out is not None:
-        header = ["state", "bound_bits", "converged", "iterations", "grad_map_norm"]
-        row = [args.state, result.bound_bits, result.converged, result.iterations, result.final_grad_map_norm]
-        _write_csv(args.out, header, [row], p)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -167,8 +174,9 @@ def _rows_bell_scan(args: argparse.Namespace) -> tuple[list[str], list[list[obje
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    header, rows = args.rows(args)
-    _write_csv(args.out, header, rows, args.precision)
+    with _open_out(args.out) as fh:
+        header, rows = args.rows(args)
+        _write_csv(fh, header, rows, args.precision)
     print(f"wrote {len(rows)} row(s) to {args.out}")
     return EXIT_OK
 

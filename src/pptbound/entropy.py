@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, common_arithmetic, require_hermitian
+from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, _in_arithmetic, require_hermitian
 from .states import DensityMatrix, check_probabilities, check_unit_trace
 
 LN2 = math.log(2.0)
@@ -39,21 +39,32 @@ def entropy_nats(rho_mat: np.ndarray) -> float:
     return _entropy_of(w)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """S(rho||sigma) = Tr rho (log2 rho - log2 sigma) in bits, of rho and
-    sigma PSD within EIG_TOL and of unit trace within INPUT_TOL, or
-    ValueError; +inf when rho leaves the support of sigma, by the rule of
-    :meth:`~pptbound.linalg.SpectralPoint.divergence` at DEFAULT_FLOOR.
-    The arithmetic follows the inputs, by
-    :func:`~pptbound.linalg.common_arithmetic`: float64 when neither matrix
-    has a nonzero imaginary part, complex128 otherwise."""
+def admit_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one admission rule of a (rho, sigma) pair, for
+    :func:`relative_entropy` and :func:`~pptbound.pptopt.kkt_check`:
+    ValueError unless the dims agree, both traces are 1 within INPUT_TOL,
+    sigma is Hermitian and rho is PSD within EIG_TOL.  Returns rho, sigma
+    (its Hermitian part) and S(rho) in nats, the matrices in float64 when
+    neither has a nonzero imaginary part and in complex128 otherwise."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
     check_unit_trace(rho, "rho")
     check_unit_trace(sigma, "sigma")
-    rho_mat, sig_mat = common_arithmetic(rho.matrix, sigma.matrix)
+    real = not (np.imag(rho.matrix).any() or np.imag(sigma.matrix).any())
+    rho_mat = _in_arithmetic(rho.matrix, real)
+    sig_mat = require_hermitian(_in_arithmetic(sigma.matrix, real), what="sigma")
+    return rho_mat, sig_mat, entropy_nats(rho_mat)
+
+
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """S(rho||sigma) = Tr rho (log2 rho - log2 sigma) in bits, of a pair
+    admitted by :func:`admit_pair` with sigma PSD within EIG_TOL, or
+    ValueError; +inf when rho leaves the support of sigma, by the rule of
+    :meth:`~pptbound.linalg.SpectralPoint.divergence` at DEFAULT_FLOOR.
+    The arithmetic is that of :func:`admit_pair`."""
+    rho_mat, sig_mat, s_rho = admit_pair(rho, sigma)
     point = SpectralPoint(rho_mat, sig_mat)
     if point.eigenvalues[0] < -EIG_TOL:
         raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
-    value = point.divergence(-entropy_nats(rho_mat))
+    value = point.divergence(-s_rho)
     return value if math.isinf(value) else value / LN2

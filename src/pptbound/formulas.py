@@ -78,7 +78,17 @@ def bell_z2_bound(p: np.ndarray) -> ClosedFormResult:
 def maxcorr_bound(alpha: np.ndarray) -> ClosedFormResult:
     """Exact bound for the maximally correlated state built from alpha:
     the entropy of the diagonal of alpha minus the entropy of alpha, with
-    the diagonal-only state as the optimizer."""
+    the diagonal-only state as the optimizer.
+
+    :func:`~pptbound.pptopt.kkt_check` certifies that sigma.  It is
+    singular on every |ij>, i != j, and on each |ii> with alpha_ii = 0; rho
+    has no weight there, and K = 1 there.  On each pair |ij>, |ji> the
+    block of K^G is [[1, -alpha_ij f_ij], [-conj(alpha_ij f_ij), 1]] with
+    f_ij the divided difference of ln at (alpha_ii, alpha_jj).  1 / f_ij is
+    the logarithmic mean, at least sqrt(alpha_ii alpha_jj) >= |alpha_ij|,
+    so K^G >= 0.  sigma is diagonal in the product basis, so
+    sigma^G = sigma >= 0.
+    """
     a = check_alpha(alpha)
     diag = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=a.shape[0])
     value = shannon_entropy(diag) - shannon_entropy(np.linalg.eigvalsh(a))

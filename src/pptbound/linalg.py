@@ -89,14 +89,6 @@ def _in_arithmetic(mat: np.ndarray, real: bool) -> np.ndarray:
     return np.real(mat) if real else np.asarray(mat, dtype=complex)
 
 
-def common_arithmetic(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho and sigma in one arithmetic: float64 when neither has a nonzero
-    imaginary part, complex128 otherwise; sigma passes
-    :func:`require_hermitian` and comes back exactly Hermitian."""
-    real = not (np.imag(rho).any() or np.imag(sigma).any())
-    return _in_arithmetic(rho, real), require_hermitian(_in_arithmetic(sigma, real), what="sigma")
-
-
 def divided_difference_log(s: np.ndarray) -> np.ndarray:
     """Table of first divided differences of ln over the values ``s``,
     clamped below at DEFAULT_FLOOR.

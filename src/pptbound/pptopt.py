@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import LN2, entropy_nats
+from .entropy import LN2, admit_pair, entropy_nats
 from .linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
@@ -39,14 +39,13 @@ from .linalg import (
     _in_arithmetic,
     _spectraplex_project,
     check_dims,
-    common_arithmetic,
     dd_gradient,
     frobenius,
     hermitianize,
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, check_alpha, check_probabilities, check_unit_trace, max_correlated, phase_mask
+from .states import DensityMatrix, check_unit_trace, phase_mask
 
 # First spectral step 1/n: the gradient at I/n is n rho, so the move is rho.
 # Armijo sufficient-decrease constant and backtracking factor of the search.
@@ -388,21 +387,13 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     the gradient.  The one spectrum of K^G gives both k_gamma_min_eig =
     lambda_min(K^G) and grad_pt_min_eig = 1 - lambda_max(K^G); the
     commutator and additivity flags of :class:`KktReport` are judged at the
-    same ``tol``.  rho and sigma must have unit trace within INPUT_TOL (K
-    is invariant under scaling both, so a scaled pair would otherwise pass),
-    rho Hermitian and sigma PSD within EIG_TOL (ValueError), with no
-    rho-weight above DEFAULT_SUPPORT_TOL on sigma's kernel (SupportError,
-    the rule of :func:`~pptbound.entropy.relative_entropy`).  The
-    arithmetic follows the inputs, by
-    :func:`~pptbound.linalg.common_arithmetic`: float64 when neither matrix
-    has a nonzero imaginary part (``k_matrix`` is then real), complex128
-    otherwise.
+    same ``tol``.  As for :func:`~pptbound.entropy.relative_entropy`, the
+    pair must pass :func:`~pptbound.entropy.admit_pair` (unit traces
+    matter: K is invariant under scaling both) and sigma must be PSD within
+    EIG_TOL (ValueError), with no rho-weight above DEFAULT_SUPPORT_TOL on
+    its kernel (SupportError).  A real pair gives a real ``k_matrix``.
     """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: rho {rho.dims}, sigma {sigma.dims}")
-    check_unit_trace(rho, "rho")
-    check_unit_trace(sigma, "sigma")
-    rho_mat, sig_mat = common_arithmetic(rho.matrix, sigma.matrix)
+    rho_mat, sig_mat, _ = admit_pair(rho, sigma)
     k_matrix = np.eye(sig_mat.shape[0], dtype=sig_mat.dtype) - dd_gradient(rho_mat, sig_mat)
     sig_gamma = partial_transpose(sig_mat, rho.dims)
     k_gamma = partial_transpose(k_matrix, rho.dims)
@@ -424,24 +415,3 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
         additive_universal=commutes and grad_min_eig >= -tol,
         additive_self=commutes and grad_min_eig >= -1.0 - tol,
     )
-
-
-def kkt_check_maxcorr(alpha: np.ndarray, tol: float = CERT_TOL) -> KktReport:
-    """:func:`kkt_check` of the maximally correlated state built from alpha
-    against its optimum, the same state with only alpha's diagonal.
-
-    That sigma is singular on every |ij>, i != j, and on each |ii> with
-    alpha_ii = 0; rho has no weight there, and K = 1 there.  On each pair
-    |ij>, |ji> the block of K^G is
-    [[1, -alpha_ij f_ij], [-conj(alpha_ij f_ij), 1]] with f_ij the divided
-    difference of ln at (alpha_ii, alpha_jj).  1 / f_ij is the logarithmic
-    mean, at least sqrt(alpha_ii alpha_jj) >= |alpha_ij|, so K^G >= 0.
-    sigma is diagonal in the product basis, so sigma^G = sigma >= 0.
-    """
-    a = check_alpha(alpha)
-    d = check_probabilities(np.real(np.diag(a)), "alpha diagonal", size=a.shape[0])
-    return kkt_check(max_correlated(a), max_correlated(np.diag(d)), tol)
-
-
-# The self-additivity test is the same report; the name is kept for callers.
-additivity_check = kkt_check

@@ -20,7 +20,7 @@ from pptbound.formulas import (
     pure_state_bound,
 )
 from pptbound.linalg import BipartiteDims, dd_gradient, frobenius, hermitianize, partial_transpose
-from pptbound.pptopt import additivity_check, kkt_check, kkt_check_maxcorr, minimize_rel_entropy, project_ppt
+from pptbound.pptopt import kkt_check, minimize_rel_entropy, project_ppt
 from pptbound.states import (
     bell_diagonal,
     bell_twirl,
@@ -84,7 +84,7 @@ def test_criterion_03_maxcorr_agreement_and_certificate():
         alpha = hermitianize(random_density(rng, k))
         res = minimize_rel_entropy(max_correlated(alpha))
         worst = max(worst, abs(res.bound_bits - maxcorr_bound(alpha).bound_bits))
-        certified &= kkt_check_maxcorr(alpha, tol=1e-8).passed
+        certified &= kkt_check(max_correlated(alpha), maxcorr_bound(alpha).sigma_opt, tol=1e-8).passed
     ok = worst <= 1e-5 and certified
     report(3, "maximally correlated optimizer vs entropy difference", ok,
            f"worst err {worst:.2e}, certificates {'all pass' if certified else 'FAILED'}")
@@ -203,11 +203,11 @@ def test_criterion_09_twirl_restriction_and_monotonicity():
 def test_criterion_10_additivity_reports():
     iso_ok = True
     for k, f in ((2, 0.9), (3, 0.8)):
-        rep = additivity_check(isotropic(k, f), isotropic_bound(k, f).sigma_opt)
+        rep = kkt_check(isotropic(k, f), isotropic_bound(k, f).sigma_opt)
         iso_ok &= rep.additive_self and rep.commutes and rep.grad_pt_min_eig >= -1.0 - 1e-8
     rho, sigma = counterexample_pair()
     assert kkt_check(rho, sigma, tol=1e-8).passed
-    counter = additivity_check(rho, sigma)
+    counter = kkt_check(rho, sigma)
     ok = iso_ok and not counter.additive_self
     report(10, "self-additivity classification", ok,
            f"isotropic certified {iso_ok}, counterexample certified False={not counter.additive_self}")

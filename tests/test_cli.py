@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pptbound import cli, formulas
 from pptbound.cli import MAX_PRECISION, build_parser, main
 from pptbound.formulas import isotropic_bound
 
@@ -336,3 +337,23 @@ def test_experiment_nonadditivity_restarts(tmp_path, capsys):
     assert float(grab(r"b2_spread_bits = ([-\d.eE+]+)", capsys.readouterr().out)) <= 1e-6
     with open(out, newline="") as fh:
         assert list(csv.DictReader(fh))[0]["converged"] == "true"
+
+
+@pytest.mark.parametrize("command", ["bound", "experiment"])
+def test_unwritable_out_fails_before_any_solve(command, iso_file, tmp_path, capsys, monkeypatch):
+    # --out is opened before the run, so a path that cannot be written costs
+    # no solve and prints no result.
+    def never(*args, **kwargs):
+        raise AssertionError("minimize_rel_entropy called")
+
+    monkeypatch.setattr(cli, "minimize_rel_entropy", never)
+    monkeypatch.setattr(formulas, "minimize_rel_entropy", never)
+    out = str(tmp_path / "missing" / "x.csv")
+    argv = {
+        "bound": ["bound", "--state", iso_file, "--out", out],
+        "experiment": ["experiment", "nonadditivity", "--restarts", "6", "--out", out],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "No such file or directory" in captured.err
+    assert "gap_bits" not in captured.out and "bound_bits" not in captured.out

@@ -32,7 +32,6 @@ from pptbound.pptopt import (
     _mix_with_identity,
     is_ppt,
     kkt_check,
-    kkt_check_maxcorr,
     minimize_rel_entropy,
     project_ppt,
 )
@@ -510,7 +509,9 @@ def test_kkt_check_certifies_pure_state_schmidt_optimum(p):
     # sigma_opt keeps the Schmidt weights on |ii> and is singular on every
     # |ij>, i != j, where the pure state has no weight.
     s = np.sqrt(p)
-    for report in (kkt_check(pure_state(p), pure_state_bound(p).sigma_opt), kkt_check_maxcorr(np.outer(s, s))):
+    alpha = np.outer(s, s)
+    maxcorr = kkt_check(max_correlated(alpha), maxcorr_bound(alpha).sigma_opt)
+    for report in (kkt_check(pure_state(p), pure_state_bound(p).sigma_opt), maxcorr):
         assert report.passed
         assert report.complementarity_residual <= 1e-14
         assert report.k_gamma_min_eig >= -1e-14
@@ -537,7 +538,7 @@ def test_kkt_check_maxcorr_random_alphas():
         for rank in range(1, k + 1):
             for _ in range(5):
                 a = hermitianize(random_density(rng, k, rank))
-                report = kkt_check_maxcorr(a)
+                report = kkt_check(max_correlated(a), maxcorr_bound(a).sigma_opt)
                 assert report.passed
                 # sigma's kernel holds every |ij>, i != j, and K is 1 there.
                 k_off = np.real(np.diag(report.k_matrix)).reshape(k, k)[off]
@@ -545,7 +546,8 @@ def test_kkt_check_maxcorr_random_alphas():
 
 
 def test_kkt_check_maxcorr_diagonal_alpha_boundary():
-    report = kkt_check_maxcorr(np.diag([0.6, 0.4]))
+    alpha = np.diag([0.6, 0.4])
+    report = kkt_check(max_correlated(alpha), maxcorr_bound(alpha).sigma_opt)
     assert report.passed
 
 
@@ -580,16 +582,9 @@ def _maxcorr_reference_k(alpha):
     ids=["dead-index", "rank-one", "rank-one-coupled-to-dead-index"],
 )
 def test_kkt_check_maxcorr_k_matrix_matches_entrywise_reference(alpha):
-    report = kkt_check_maxcorr(alpha)
+    report = kkt_check(max_correlated(alpha), maxcorr_bound(alpha).sigma_opt)
     assert report.passed
     assert np.abs(report.k_matrix - _maxcorr_reference_k(alpha)).max() <= 1e-14
-
-
-def test_kkt_check_maxcorr_validates_alpha():
-    with pytest.raises(ValueError):
-        kkt_check_maxcorr(np.diag([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        kkt_check_maxcorr(np.array([[1.1, 0.0], [0.0, -0.1]]))
 
 
 def test_kkt_maxcorr_consistent_with_optimizer():
@@ -597,7 +592,7 @@ def test_kkt_maxcorr_consistent_with_optimizer():
     a = hermitianize(random_definite_density(rng, 2, mix=0.3))
     res = minimize_rel_entropy(max_correlated(a))
     assert res.bound_bits == pytest.approx(maxcorr_bound(a).bound_bits, abs=1e-6)
-    assert kkt_check_maxcorr(a).passed
+    assert kkt_check(max_correlated(a), maxcorr_bound(a).sigma_opt).passed
 
 
 def _swap_pair():
@@ -618,6 +613,17 @@ def test_pair_checks_reject_sigma_below_eig_tol(check):
     rho = pure_state([0.8, 0.2])
     with pytest.raises(ValueError, match="sigma is not PSD"):
         check(rho, DensityMatrix(matrix=np.diag([0.8, -2e-10, 0.0, 0.2]).astype(complex), dims=DIMS22))
+
+
+@pytest.mark.parametrize("check", [kkt_check, relative_entropy])
+def test_pair_checks_reject_rho_below_eig_tol(check):
+    # rho has weight only on sigma's support, so a check that never looks at
+    # rho's spectrum would pass the pair.
+    rho = np.diag([0.5, 0.5, 0.0, 0.0])
+    rho[2, 3] = rho[3, 2] = 0.1
+    sigma = np.diag([0.5, 0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="rho is not PSD: least eigenvalue -1.000e-01"):
+        check(DensityMatrix(matrix=rho, dims=DIMS22), DensityMatrix(matrix=sigma, dims=DIMS22))
 
 
 def test_pair_checks_accept_sigma_within_eig_tol():
@@ -786,5 +792,5 @@ def test_kkt_check_transposes_and_diagonalizes_each_matrix_once(monkeypatch):
     monkeypatch.setattr(pptopt, "partial_transpose", counted("partial_transpose", pptopt.partial_transpose))
     monkeypatch.setattr(pptopt.np.linalg, "eigvalsh", counted("eigvalsh", pptopt.np.linalg.eigvalsh))
     kkt_check(*counterexample_pair())
-    assert calls == {"partial_transpose": 2, "eigvalsh": 2}
+    assert calls == {"partial_transpose": 2, "eigvalsh": 3}
 

@@ -587,6 +587,15 @@ def test_kkt_check_maxcorr_k_matrix_matches_entrywise_reference(alpha):
     assert np.abs(report.k_matrix - _maxcorr_reference_k(alpha)).max() <= 1e-14
 
 
+def test_kkt_check_maxcorr_validates_alpha():
+    # maxcorr_bound supplies the sigma that kkt_check certifies, so it is
+    # where an invalid alpha must stop the max-correlated certificate.
+    with pytest.raises(ValueError, match="^alpha: trace invariant"):
+        maxcorr_bound(np.diag([0.7, 0.7]))
+    with pytest.raises(ValueError, match="^alpha: positivity invariant"):
+        maxcorr_bound(np.array([[1.1, 0.0], [0.0, -0.1]]))
+
+
 def test_kkt_maxcorr_consistent_with_optimizer():
     rng = np.random.default_rng(25)
     a = hermitianize(random_definite_density(rng, 2, mix=0.3))

@@ -4,8 +4,9 @@ All functions work on plain square ``numpy`` arrays in the computational
 product basis ``|i>_A |j>_B`` at flat index ``i * d_b + j``.  Bipartite
 structure enters only through :class:`BipartiteDims`.  A matrix is admitted
 once, by :func:`require_hermitian`, which returns its Hermitian part; no later
-step symmetrizes it again before ``eigh``, which reads one triangle.  Entry
-points that take a state's spectrum raise ValueError below -EIG_TOL.
+step symmetrizes it again before ``eigh``, which reads one triangle.  sigma's
+positivity is checked once, by :func:`psd_point`, and a SupportError for rho's
+weight on sigma's kernel is raised once, by :func:`kernel_gradient`.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL, what: str = "
     return hermitianize(a)
 
 
-def _in_arithmetic(mat: np.ndarray, real: bool) -> np.ndarray:
-    """``mat`` in float64 (its real part) when ``real``, else in complex128."""
-    return np.real(mat) if real else np.asarray(mat, dtype=complex)
-
-
 def divided_difference_log(s: np.ndarray) -> np.ndarray:
     """Table of first divided differences of ln over the values ``s``,
     clamped below at DEFAULT_FLOOR.
@@ -164,27 +160,34 @@ class SpectralPoint:
         return hermitianize(v @ (self.rho_t * f) @ v.conj().T)
 
 
-def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Gradient of sigma -> Tr(rho ln sigma) with sigma's kernel frozen,
-    see :meth:`SpectralPoint.gradient`.
-
-    sigma must be PSD within EIG_TOL (ValueError) with supp(rho) inside
-    supp(sigma), the rule of :meth:`SpectralPoint.divergence`: rho-weight above
-    DEFAULT_SUPPORT_TOL on an eigenvalue <= DEFAULT_FLOOR raises :class:`SupportError`.
-    """
-    r = require_hermitian(rho, what="rho")
-    s = require_hermitian(sigma, what="sigma")
-    if r.shape != s.shape:
-        raise ValueError(f"shape mismatch: rho {r.shape}, sigma {s.shape}")
-    point = SpectralPoint(r, s)
+def psd_point(rho: np.ndarray, sigma: np.ndarray) -> SpectralPoint:
+    """The :class:`SpectralPoint` of a Hermitian pair, or ValueError unless
+    its ``eigh`` finds sigma PSD within EIG_TOL."""
+    point = SpectralPoint(rho, sigma)
     if point.eigenvalues[0] < -EIG_TOL:
         raise ValueError(f"sigma is not PSD: least eigenvalue {point.eigenvalues[0]:.3e}")
+    return point
+
+
+def kernel_gradient(point: SpectralPoint) -> np.ndarray:
+    """``point.gradient()``, or SupportError when rho leaks onto the face."""
     weight = point.leaks()
     if weight is not None:
         raise SupportError(
             f"rho has weight {weight:.3e} on the null space of sigma (tol {DEFAULT_SUPPORT_TOL:.1e})"
         )
     return point.gradient()
+
+
+def dd_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Gradient of sigma -> Tr(rho ln sigma) with sigma's kernel frozen,
+    of two raw arrays that it admits by :func:`require_hermitian`: the
+    :func:`kernel_gradient` of their :func:`psd_point`."""
+    r = require_hermitian(rho, what="rho")
+    s = require_hermitian(sigma, what="sigma")
+    if r.shape != s.shape:
+        raise ValueError(f"shape mismatch: rho {r.shape}, sigma {s.shape}")
+    return kernel_gradient(psd_point(r, s))
 
 
 def _simplex(w: np.ndarray) -> np.ndarray:

@@ -31,21 +31,20 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import LN2, admit_pair, entropy_nats
+from .entropy import LN2, admit_pair, psd_entropy
 from .linalg import (
     DEFAULT_FLOOR,
     BipartiteDims,
     SpectralPoint,
-    _in_arithmetic,
     _spectraplex_project,
     check_dims,
-    dd_gradient,
     frobenius,
     hermitianize,
+    kernel_gradient,
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, check_unit_trace, phase_mask
+from .states import DensityMatrix, admit_matrix, phase_mask
 
 # First spectral step 1/n: the gradient at I/n is n rho, so the move is rho.
 # Armijo sufficient-decrease constant and backtracking factor of the search.
@@ -148,7 +147,9 @@ class KktReport:
 
 
 def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
-    """Whether the partial transpose of rho, which must be Hermitian, is PSD."""
+    """Whether the partial transpose of rho, which must be Hermitian, is
+    PSD.  Only rho^Gamma is tested: SWAP/2 has eigenvalue -1/2, but its
+    partial transpose is the maximally entangled projector, so it passes."""
     low = float(np.linalg.eigvalsh(partial_transpose(require_hermitian(rho.matrix, what="rho"), rho.dims))[0])
     return PptCheck(ok=low >= -tol, min_eig=low)
 
@@ -262,40 +263,35 @@ def minimize_rel_entropy(
     at the last accepted sigma, as does the iteration cap.
 
     Every projected point is passed through ``invariance_map`` when one is
-    given (a twirl fixing rho), and then through the diagonal-phase twirl
-    of rho (:func:`~pptbound.states.phase_mask`), which zeroes the entries
-    that a torus of local phases fixing rho averages away.  Segments
-    between invariant points stay invariant, so the search is restricted
-    to the invariant family without changing the optimum; on a degenerate
-    face this keeps the iterate off the directions rho does not couple to,
-    where the support wall would otherwise stall the search.  When
-    rho.matrix has no nonzero imaginary part, complex conjugation fixes rho,
-    the PPT set and S(rho || .), so the real part of each projected point is
-    taken as well, after ``invariance_map`` and next to the phase twirl,
-    and the whole run is in float64; ``sigma_opt.matrix`` is complex128
-    either way.  Any feasible
-    iterate gives a valid upper bound, so the returned value is certified
-    from above even when the convergence flag is false.  A final sigma with
-    an eigenvalue at or under DEFAULT_FLOOR is mixed with enough of I/n to
-    outweigh any negative eigenvalue (at least FINAL_MIX and at least
-    2 n DEFAULT_FLOOR), which keeps it PPT, and the bound is the relative
-    entropy at the mixed sigma, at the kernel wall DEFAULT_FLOOR instead of
-    FACE_TOL.  Projections that used
-    up their cycle budget are counted in ``capped_projections``, and the
-    largest positivity deficiency any projection left is
-    ``max_projection_residual``.  A rho whose trace is not 1 within
-    INPUT_TOL raises ValueError.  ``initial`` is admitted after the PPT
-    exit, then projected in the solve's arithmetic: its real part in
-    float64 when rho is real, in complex128 otherwise.  One that is not
-    finite, Hermitian and of rho's dims raises ValueError.
+    given (a twirl fixing rho), and then through the diagonal-phase twirl of
+    rho (:func:`~pptbound.states.phase_mask`), which zeroes the entries that
+    a torus of local phases fixing rho averages away.  Segments between
+    invariant points stay invariant, so the search is restricted to the
+    invariant family without changing the optimum; on a degenerate face this
+    keeps the iterate off the directions rho does not couple to, where the
+    support wall would otherwise stall the search.  When rho.matrix has no
+    nonzero imaginary part, complex conjugation fixes rho, the PPT set and
+    S(rho || .), so the real part of each projected point is taken as well,
+    after ``invariance_map`` and next to the phase twirl, and the whole run
+    is in float64; ``sigma_opt.matrix`` is complex128 either way.  Any
+    feasible iterate gives a valid upper bound, so the returned value is
+    certified from above even when the convergence flag is false.  A final
+    sigma with an eigenvalue at or under DEFAULT_FLOOR is mixed with enough
+    of I/n to outweigh any negative eigenvalue (at least FINAL_MIX and at
+    least 2 n DEFAULT_FLOOR), which keeps it PPT, and the bound is the
+    relative entropy at the mixed sigma, at the kernel wall DEFAULT_FLOOR
+    instead of FACE_TOL.  Projections that used up their cycle budget are
+    counted in ``capped_projections``, and the largest positivity deficiency
+    any projection left is ``max_projection_residual``.  rho and its S(rho)
+    (:func:`~pptbound.entropy.psd_entropy`) are admitted before the exit for
+    a PPT rho, ``initial`` after it, both by :func:`admit_matrix`.
     """
-    check_unit_trace(rho, "rho")
     cfg = cfg or OptimizerConfig()
     dims = rho.dims
     real = not np.imag(rho.matrix).any()
-    rho_mat = require_hermitian(_in_arithmetic(rho.matrix, real), what="rho")
-    admitted = DensityMatrix(matrix=rho_mat, dims=dims)
-    if is_ppt(admitted, tol=1e-12).ok:
+    rho_mat = admit_matrix(rho, "rho", real)
+    c0 = -psd_entropy(rho_mat)
+    if np.linalg.eigvalsh(partial_transpose(rho_mat, dims))[0] >= -1e-12:
         return OptimizerResult(
             bound_bits=0.0,
             sigma_opt=DensityMatrix(matrix=np.array(rho.matrix, dtype=complex), dims=dims),
@@ -304,7 +300,7 @@ def minimize_rel_entropy(
             final_grad_map_norm=0.0,
         )
     n = dims.total
-    mask = phase_mask(admitted)
+    mask = phase_mask(DensityMatrix(matrix=rho_mat, dims=dims))
     capped = 0
     worst_residual = 0.0
 
@@ -316,12 +312,11 @@ def minimize_rel_entropy(
         state = proj.state if invariance_map is None else invariance_map(proj.state)
         return (state.matrix.real if real else state.matrix) * mask
 
-    c0 = -entropy_nats(rho_mat)
     start = np.eye(n, dtype=rho_mat.dtype) / n
     if initial is not None:
         if initial.dims != dims:
             raise ValueError(f"dimension mismatch: rho {dims}, initial {initial.dims}")
-        start = _in_arithmetic(require_hermitian(check_dims(initial.matrix, dims, "initial"), what="initial"), real)
+        start = admit_matrix(initial, "initial", real)
     sigma = project(start)
     point = SpectralPoint(rho_mat, sigma, FACE_TOL)
     f_cur = point.divergence(c0)
@@ -379,22 +374,21 @@ def kkt_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = CERT_TOL) -
     sigma of any rank.
 
     Builds K = 1 - G, with G the gradient of Tr(rho ln sigma) at sigma with
-    sigma's kernel frozen (:func:`~pptbound.linalg.dd_gradient`), and
-    passes iff sigma is PPT (sigma^G >= 0) and the partial transposes
-    satisfy sigma^G K^G = 0 and K^G >= 0, all within tolerance.  The
-    multiplier of sigma >= 0 is zero, which meets its conditions at any
-    rank; when rho has no weight on sigma's kernel the frozen gradient is
-    the gradient.  The one spectrum of K^G gives both k_gamma_min_eig =
-    lambda_min(K^G) and grad_pt_min_eig = 1 - lambda_max(K^G); the
-    commutator and additivity flags of :class:`KktReport` are judged at the
-    same ``tol``.  As for :func:`~pptbound.entropy.relative_entropy`, the
-    pair must pass :func:`~pptbound.entropy.admit_pair` (unit traces
-    matter: K is invariant under scaling both) and sigma must be PSD within
-    EIG_TOL (ValueError), with no rho-weight above DEFAULT_SUPPORT_TOL on
-    its kernel (SupportError).  A real pair gives a real ``k_matrix``.
+    sigma's kernel frozen, and passes iff sigma is PPT (sigma^G >= 0) and
+    the partial transposes satisfy sigma^G K^G = 0 and K^G >= 0, all within
+    tolerance.  The multiplier of sigma >= 0 is zero, which meets its
+    conditions at any rank; when rho has no weight on sigma's kernel the
+    frozen gradient is the gradient.  The one spectrum of K^G gives both
+    k_gamma_min_eig = lambda_min(K^G) and
+    grad_pt_min_eig = 1 - lambda_max(K^G); the commutator and additivity
+    flags of :class:`KktReport` are judged at the same ``tol``.  The pair
+    is admitted by :func:`~pptbound.entropy.admit_pair` (unit traces
+    matter: K is invariant under scaling both), and G is the
+    :func:`~pptbound.linalg.kernel_gradient` of its point.  A real pair
+    gives a real ``k_matrix``.
     """
-    rho_mat, sig_mat, _ = admit_pair(rho, sigma)
-    k_matrix = np.eye(sig_mat.shape[0], dtype=sig_mat.dtype) - dd_gradient(rho_mat, sig_mat)
+    rho_mat, sig_mat, _, point = admit_pair(rho, sigma)
+    k_matrix = np.eye(sig_mat.shape[0], dtype=sig_mat.dtype) - kernel_gradient(point)
     sig_gamma = partial_transpose(sig_mat, rho.dims)
     k_gamma = partial_transpose(k_matrix, rho.dims)
     residual = frobenius(sig_gamma @ k_gamma)

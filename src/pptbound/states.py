@@ -5,7 +5,8 @@ trace, Hermiticity, and positivity invariants.  Outside input, a matrix or
 a probability vector, is admitted by one rule: it must lie within
 ``INPUT_TOL`` of a state; if it already satisfies the invariants at working
 precision it is returned untouched, otherwise it is replaced by its
-nearest point on the state set.
+nearest point on the state set.  The solver and the pair checks admit
+each state they are handed once, by :func:`admit_matrix`.
 """
 
 from __future__ import annotations
@@ -57,11 +58,16 @@ class DensityMatrix:
             raise ValueError(f"positivity invariant violated: min eigenvalue = {low:.3e}")
 
 
-def check_unit_trace(state: DensityMatrix, what: str) -> None:
-    """ValueError unless the trace of ``state`` is 1 within INPUT_TOL."""
-    tr = complex(np.trace(state.matrix))
+def admit_matrix(state: DensityMatrix, what: str, real: bool) -> np.ndarray:
+    """The Hermitian part of an outside matrix, in float64 (its real part)
+    when ``real``, else in complex128; ValueError unless it matches its
+    dims, has trace 1 within INPUT_TOL and passes require_hermitian."""
+    m = check_dims(state.matrix, state.dims, what)
+    tr = complex(np.trace(m))
     if abs(tr - 1.0) > INPUT_TOL:
         raise ValueError(f"{what} trace = {tr:.15g} is not 1 within {INPUT_TOL:g}")
+    h = require_hermitian(m, what=what)
+    return np.real(h) if real else np.asarray(h, dtype=complex)
 
 
 def density_matrix(matrix: np.ndarray, dims: BipartiteDims) -> DensityMatrix:

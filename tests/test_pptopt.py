@@ -26,7 +26,7 @@ from pptbound.linalg import (
     hermitianize,
     partial_transpose,
 )
-from pptbound import entropy, pptopt
+from pptbound import linalg, pptopt
 from pptbound.pptopt import (
     OptimizerConfig,
     _mix_with_identity,
@@ -312,9 +312,10 @@ def test_minimize_accepts_warm_start():
         _tilted_sigma(),
         isotropic(3, 0.5),
         DensityMatrix(matrix=np.eye(9) / 9, dims=DIMS22),
+        DensityMatrix(matrix=np.eye(4) / 2, dims=DIMS22),
         density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]), DIMS22),
     ],
-    ids=["nan", "non-hermitian", "other-dims", "wrong-size", "off-support"],
+    ids=["nan", "non-hermitian", "other-dims", "wrong-size", "trace-two", "off-support"],
 )
 def test_minimize_rejects_bad_initial(initial):
     with pytest.raises(ValueError, match="initial"):
@@ -719,14 +720,15 @@ def test_kkt_check_real_arithmetic_agrees_with_complex(square):
 
 
 def test_relative_entropy_follows_the_arithmetic_of_its_inputs(monkeypatch):
+    # The pair's point is built by linalg.psd_point.
     seen = []
-    point = entropy.SpectralPoint
+    point = linalg.SpectralPoint
 
     def recorded(rho, sigma, *args):
         seen.append((rho.dtype, sigma.dtype))
         return point(rho, sigma, *args)
 
-    monkeypatch.setattr(entropy, "SpectralPoint", recorded)
+    monkeypatch.setattr(linalg, "SpectralPoint", recorded)
     rho, sigma = counterexample_pair()
     assert relative_entropy(rho, sigma) == 0.18779749924411723
     rotated = relative_entropy(_phase_rotated(rho), _phase_rotated(sigma))
@@ -788,18 +790,51 @@ def test_kkt_check_grad_pt_min_eig_is_the_gradient_spectrum(rho, sigma):
     assert abs(kkt_check(rho, sigma).grad_pt_min_eig - want) <= 1e-14
 
 
-def test_kkt_check_transposes_and_diagonalizes_each_matrix_once(monkeypatch):
-    calls = {"partial_transpose": 0, "eigvalsh": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(pptopt, "partial_transpose", counted("partial_transpose", pptopt.partial_transpose))
-    monkeypatch.setattr(pptopt.np.linalg, "eigvalsh", counted("eigvalsh", pptopt.np.linalg.eigvalsh))
-    kkt_check(*counterexample_pair())
+def test_kkt_check_transposes_and_diagonalizes_each_matrix_once(count_calls):
+    pair = counterexample_pair()
+    count_calls(linalg, "partial_transpose")
+    calls = count_calls(np.linalg, "eigvalsh")
+    kkt_check(*pair)
     assert calls == {"partial_transpose": 2, "eigvalsh": 3}
+
+
+@pytest.mark.parametrize(
+    "run, want",
+    [
+        (relative_entropy, 2),
+        (kkt_check, 2),
+        (lambda rho, sigma: minimize_rel_entropy(rho), 1),
+        (lambda rho, sigma: nonadditivity_experiment(), 8),
+    ],
+    ids=["relative_entropy", "kkt_check", "minimize", "nonadditivity_experiment"],
+)
+def test_each_outside_matrix_is_admitted_once(count_calls, run, want):
+    # One require_hermitian per outside matrix: the two-copy experiment
+    # admits 2 in relative_entropy, 2 in each kkt_check, and rho and
+    # initial in the solve.
+    pair = counterexample_pair()
+    calls = count_calls(linalg, "require_hermitian")
+    run(*pair)
+    assert calls["require_hermitian"] == want
+
+
+def test_minimize_rejects_rho_below_eig_tol():
+    # SWAP/2 has trace 1 and a PSD partial transpose, so it passes is_ppt.
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    rho = DensityMatrix(matrix=swap / 2, dims=DIMS22)
+    assert is_ppt(rho).ok
+    with pytest.raises(ValueError, match="rho is not PSD: least eigenvalue -5.000e-01"):
+        minimize_rel_entropy(rho)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [relative_entropy, kkt_check, lambda rho, sigma: minimize_rel_entropy(rho)],
+    ids=["relative_entropy", "kkt_check", "minimize"],
+)
+def test_entry_points_reject_rho_off_its_dims(check):
+    rho = DensityMatrix(matrix=isotropic(3, 0.8).matrix, dims=DIMS22)
+    sigma = DensityMatrix(matrix=isotropic_bound(3, 0.8).sigma_opt.matrix, dims=DIMS22)
+    with pytest.raises(ValueError, match="rho of size 9 does not match dims 2x2"):
+        check(rho, sigma)
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, psd_point, require_hermitian
+from .linalg import DEFAULT_FLOOR, EIG_TOL, SpectralPoint, psd_point
 from .states import DensityMatrix, admit_matrix, check_probabilities
 
 LN2 = math.log(2.0)
@@ -37,11 +37,6 @@ def psd_entropy(rho_mat: np.ndarray) -> float:
     if w[0] < -EIG_TOL:
         raise ValueError(f"rho is not PSD: least eigenvalue {w[0]:.3e}")
     return _entropy_of(w)
-
-
-def entropy_nats(rho_mat: np.ndarray) -> float:
-    """:func:`psd_entropy` of a raw array, admitted by require_hermitian."""
-    return psd_entropy(require_hermitian(rho_mat, what="rho"))
 
 
 def admit_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float, SpectralPoint]:

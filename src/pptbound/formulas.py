@@ -135,11 +135,12 @@ def nonadditivity_experiment(
     extra runs, each from a random feasible starting point drawn with
     ``seed``, gauge the reproducibility of b2; their scatter is the
     accuracy figure the gap should be measured against.  Each restart
-    draws A, then B, n x n standard normal, and starts at
-    0.9 G G^dag / tr(G G^dag) + 0.1 I/n with G = A + iB.  The generator,
-    ``np.random.default_rng(seed)``, exists only for restarts: with
-    ``restarts=0`` ``seed`` is not read and ``numpy.random`` is not
-    imported.
+    draws A, then B, n x n standard normal and starts at 0.9 S / tr S +
+    0.1 I/n, where S = A A^T + B B^T is the real part of G G^dag with
+    G = A + iB: the solve admits that start in float64, as rho tensor rho
+    is real.  The generator, ``np.random.default_rng(seed)``, exists only
+    for restarts: with ``restarts=0`` ``seed`` is not read and
+    ``numpy.random`` is not imported.
     """
     cfg = cfg or EXPERIMENT_CONFIG
     rho, sigma = counterexample_pair()
@@ -149,7 +150,7 @@ def nonadditivity_experiment(
     sigma2 = tensor(sigma, sigma)
     kkt_double = kkt_check(rho2, sigma2)
     result = minimize_rel_entropy(rho2, cfg, initial=sigma2)
-    n = rho2.dim
+    n = rho2.dims.total
     extra = []
     if restarts > 0:
         rng = np.random.default_rng(seed)

@@ -146,12 +146,12 @@ class KktReport:
     additive_self: bool
 
 
-def is_ppt(rho: DensityMatrix, tol: float = CERT_TOL) -> PptCheck:
-    """Whether the partial transpose of rho, which must be Hermitian, is
-    PSD.  Only rho^Gamma is tested: SWAP/2 has eigenvalue -1/2, but its
-    partial transpose is the maximally entangled projector, so it passes."""
+def is_ppt(rho: DensityMatrix) -> PptCheck:
+    """Whether rho^Gamma, for a Hermitian rho, is PSD within CERT_TOL, and
+    its least eigenvalue.  Only rho^Gamma is tested: SWAP/2 has eigenvalue
+    -1/2, but its partial transpose is the maximally entangled projector."""
     low = float(np.linalg.eigvalsh(partial_transpose(require_hermitian(rho.matrix, what="rho"), rho.dims))[0])
-    return PptCheck(ok=low >= -tol, min_eig=low)
+    return PptCheck(ok=low >= -CERT_TOL, min_eig=low)
 
 
 def project_ppt(mat: np.ndarray, dims: BipartiteDims) -> ProjectedState:

@@ -40,10 +40,6 @@ class DensityMatrix:
     matrix: np.ndarray
     dims: BipartiteDims
 
-    @property
-    def dim(self) -> int:
-        return self.dims.total
-
     def validate(self, tol: float | None = None) -> None:
         """Raise ValueError naming the first violated invariant, if any;
         ``tol`` replaces HERMITIAN_RTOL, TRACE_TOL and EIG_TOL when given."""
@@ -257,7 +253,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Tensor product as a bipartite state over (A A') vs (B B'), in
     lexicographic product order on each side."""
     shape = (a.dims.d_a, a.dims.d_b, b.dims.d_a, b.dims.d_b)
-    n = a.dim * b.dim
+    n = a.dims.total * b.dims.total
     big = np.kron(a.matrix, b.matrix).reshape(shape + shape)
     m = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(n, n)
     return DensityMatrix(matrix=m, dims=BipartiteDims(a.dims.d_a * b.dims.d_a, a.dims.d_b * b.dims.d_b))

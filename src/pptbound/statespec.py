@@ -87,10 +87,15 @@ def _matrix(rows: Any, label: str) -> np.ndarray:
     )
 
 
-def _explicit_state(spec: dict) -> DensityMatrix:
-    extra = set(spec) - {"dims", "matrix"}
+def _known_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    """StateSpecError naming the keys of ``obj`` outside ``allowed``."""
+    extra = set(obj) - set(allowed)
     if extra:
-        raise StateSpecError(f"unknown keys {sorted(extra)} alongside 'matrix'")
+        raise StateSpecError(f"unknown keys {sorted(extra)} {where}")
+
+
+def _explicit_state(spec: dict) -> DensityMatrix:
+    _known_keys(spec, ("dims", "matrix"), "alongside 'matrix'")
     dims = spec.get("dims")
     if not isinstance(dims, list) or len(dims) != 2:
         raise StateSpecError("'dims' must be a pair of positive integers [d_a, d_b]")
@@ -104,31 +109,32 @@ def _explicit_state(spec: dict) -> DensityMatrix:
         raise StateSpecError(str(exc)) from exc
 
 
-# Family name -> constructor from the ``params`` object.
+# Family name -> (parameter names, constructor from the ``params`` object).
 FAMILIES = {
-    "isotropic": lambda p: isotropic(
-        _integer(p.get("k"), 2, "isotropic: 'k'"), _number(p.get("f"), "isotropic: 'f'")
+    "isotropic": (
+        ("k", "f"),
+        lambda p: isotropic(_integer(p.get("k"), 2, "isotropic: 'k'"), _number(p.get("f"), "isotropic: 'f'")),
     ),
-    "bell_diagonal": lambda p: bell_diagonal(_vector(p.get("probs"), "probs")),
-    "max_correlated": lambda p: max_correlated(_matrix(p.get("alpha"), "alpha")),
-    "pure": lambda p: pure_state(_vector(p.get("schmidt"), "schmidt")),
-    "counterexample_rho": lambda p: counterexample_pair()[0],
-    "counterexample_sigma": lambda p: counterexample_pair()[1],
+    "bell_diagonal": (("probs",), lambda p: bell_diagonal(_vector(p.get("probs"), "probs"))),
+    "max_correlated": (("alpha",), lambda p: max_correlated(_matrix(p.get("alpha"), "alpha"))),
+    "pure": (("schmidt",), lambda p: pure_state(_vector(p.get("schmidt"), "schmidt"))),
+    "counterexample_rho": ((), lambda p: counterexample_pair()[0]),
+    "counterexample_sigma": ((), lambda p: counterexample_pair()[1]),
 }
 
 
 def _family_state(spec: dict) -> DensityMatrix:
-    extra = set(spec) - {"family", "params"}
-    if extra:
-        raise StateSpecError(f"unknown keys {sorted(extra)} alongside 'family'")
+    _known_keys(spec, ("family", "params"), "alongside 'family'")
     name = spec["family"]
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise StateSpecError("'params' must be an object")
     if not isinstance(name, str) or name not in FAMILIES:
         raise StateSpecError(f"unknown family {name!r}; expected one of {', '.join(FAMILIES)}")
+    names, build = FAMILIES[name]
+    _known_keys(params, names, f"in 'params' of family '{name}'")
     try:
-        return FAMILIES[name](params)
+        return build(params)
     except StateSpecError:
         raise
     except ValueError as exc:

@@ -127,6 +127,14 @@ def test_bound_invalid_state_names_invariant(tmp_path):
     assert "trace invariant" in proc.stderr
 
 
+def test_bound_rejects_unknown_family_param(tmp_path):
+    spec = {"family": "counterexample_rho", "params": {"k": 3}}
+    proc = run_cli("bound", "--state", write_spec(tmp_path / "cx.json", spec))
+    assert proc.returncode == 1
+    assert "unknown keys ['k'] in 'params' of family 'counterexample_rho'" in proc.stderr
+    assert "bound_bits" not in proc.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -142,6 +150,8 @@ def test_bound_invalid_state_names_invariant(tmp_path):
         ["bound", "--precision", "2147483648"],
         ["kkt", "--precision", "18"],
         ["experiment", "--precision", "2147483648"],
+        ["bound", "--max-iters", "1.5"],
+        ["kkt", "--tol", "abc"],
     ],
 )
 def test_bad_flag_values_are_input_errors(argv, iso_file, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_definite_density, random_density
-from pptbound.entropy import LN2, entropy_nats, relative_entropy, shannon_entropy
+from pptbound.entropy import LN2, psd_entropy, relative_entropy, shannon_entropy
 from pptbound.linalg import BipartiteDims
 from pptbound.pptopt import kkt_check
 from pptbound.states import DensityMatrix, entanglement_fidelity, isotropic, pure_state
@@ -52,19 +52,19 @@ def test_shannon_entropy_range(seed, n):
 
 
 def test_von_neumann_entropy_pure_and_mixed():
-    assert entropy_nats(pure_state(np.array([0.5, 0.5])).matrix) / LN2 == pytest.approx(0.0, abs=1e-10)
+    assert psd_entropy(pure_state(np.array([0.5, 0.5])).matrix) / LN2 == pytest.approx(0.0, abs=1e-10)
     rho = isotropic(2, 0.75)
     eigs = np.linalg.eigvalsh(rho.matrix)
     want = -(eigs * np.log2(eigs)).sum()
-    assert entropy_nats(rho.matrix) / LN2 == pytest.approx(want, abs=1e-12)
+    assert psd_entropy(rho.matrix) / LN2 == pytest.approx(want, abs=1e-12)
 
 
 def test_von_neumann_entropy_additive_over_kron():
     rng = np.random.default_rng(10)
     a = random_density(rng, 4)
     b = random_density(rng, 4)
-    lhs = entropy_nats(np.kron(a, b)) / LN2
-    rhs = entropy_nats(a) / LN2 + entropy_nats(b) / LN2
+    lhs = psd_entropy(np.kron(a, b)) / LN2
+    rhs = psd_entropy(a) / LN2 + psd_entropy(b) / LN2
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -116,8 +116,8 @@ def test_relative_entropy_finite_on_shared_support():
 
 def test_entropy_rejects_rho_below_eig_tol():
     with pytest.raises(ValueError, match="rho is not PSD: least eigenvalue -2.000e-01"):
-        entropy_nats(np.diag([0.7, 0.5, -0.2, 0.0]))
-    assert entropy_nats(np.diag([0.5, 0.5, -5e-11])) == pytest.approx(math.log(2.0), abs=1e-12)
+        psd_entropy(np.diag([0.7, 0.5, -0.2, 0.0]))
+    assert psd_entropy(np.diag([0.5, 0.5, -5e-11])) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("check", [kkt_check, relative_entropy])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
-from pptbound.entropy import LN2, entropy_nats, relative_entropy, shannon_entropy
+from pptbound.entropy import LN2, psd_entropy, relative_entropy, shannon_entropy
 from pptbound.formulas import (
     EXPERIMENT_CONFIG,
     bell_z2_bound,
@@ -40,7 +40,7 @@ def test_isotropic_bound_edges():
 @pytest.mark.parametrize("k,f", [(2, 0.75), (2, 0.95), (3, 0.9)])
 def test_isotropic_sigma_opt_is_ppt_and_certified(k, f):
     result = isotropic_bound(k, f)
-    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+    assert is_ppt(result.sigma_opt).min_eig >= -1e-10
     assert kkt_check(isotropic(k, f), result.sigma_opt, tol=1e-8).passed
 
 
@@ -81,7 +81,7 @@ def test_bell_z2_bound_attained_by_reported_sigma(seed):
     p = rng.dirichlet(np.ones(4))
     result = bell_z2_bound(p)
     rho = bell_diagonal(p)
-    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+    assert is_ppt(result.sigma_opt).min_eig >= -1e-10
     assert relative_entropy(rho, result.sigma_opt) == pytest.approx(result.bound_bits, abs=1e-10)
 
 
@@ -89,7 +89,7 @@ def test_bell_z2_bound_pure_label_degenerate_case():
     result = bell_z2_bound(np.array([1.0, 0.0, 0.0, 0.0]))
     assert result.bound_bits == pytest.approx(1.0, abs=1e-14)
     result.sigma_opt.validate()
-    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+    assert is_ppt(result.sigma_opt).min_eig >= -1e-10
 
     # Near-pure weights that sum to 1 + 5e-13: the minority labels must be
     # rescaled by their own sum, not by 1 - a.
@@ -98,7 +98,7 @@ def test_bell_z2_bound_pure_label_degenerate_case():
     result = bell_z2_bound(p)
     assert result.bound_bits == pytest.approx(1.0 + a * np.log2(a) + (1.0 - a) * np.log2(1.0 - a), abs=1e-14)
     result.sigma_opt.validate()
-    assert is_ppt(result.sigma_opt, tol=1e-10).ok
+    assert is_ppt(result.sigma_opt).min_eig >= -1e-10
     assert relative_entropy(bell_diagonal(p), result.sigma_opt) == pytest.approx(result.bound_bits, abs=1e-10)
 
 
@@ -108,7 +108,7 @@ def test_maxcorr_bound_is_entropy_difference():
         a = hermitianize(random_density(rng, k))
         rho = max_correlated(a)
         reduced = partial_trace(rho.matrix, rho.dims, "A")
-        want = shannon_entropy(np.linalg.eigvalsh(reduced)) - entropy_nats(rho.matrix) / LN2
+        want = shannon_entropy(np.linalg.eigvalsh(reduced)) - psd_entropy(rho.matrix) / LN2
         assert maxcorr_bound(a).bound_bits == pytest.approx(want, abs=1e-10)
 
 
@@ -117,7 +117,7 @@ def test_maxcorr_sigma_opt_diagonal_and_ppt():
     # EIG_TOL) with a -5e-11 diagonal, which sigma_opt must not inherit.
     for a in (np.array([[0.6, 0.3], [0.3, 0.4]]), np.array([[1.0 + 5e-11, 0.0], [0.0, -5e-11]])):
         sig = maxcorr_bound(a).sigma_opt
-        assert is_ppt(sig, tol=1e-12).ok
+        assert is_ppt(sig).min_eig >= -1e-12
         off = sig.matrix - np.diag(np.diag(sig.matrix))
         assert frobenius(off) == 0.0
         assert np.linalg.eigvalsh(sig.matrix).min() >= 0.0

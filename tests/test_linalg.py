@@ -15,6 +15,7 @@ from pptbound.linalg import (
     BipartiteDims,
     SpectralPoint,
     SupportError,
+    check_square,
     dd_gradient,
     divided_difference_log,
     frobenius,
@@ -24,7 +25,7 @@ from pptbound.linalg import (
     require_hermitian,
 )
 from pptbound.pptopt import FACE_TOL
-from pptbound.states import max_entangled_projector
+from pptbound.states import isotropic, max_entangled_projector
 
 
 def test_require_hermitian_returns_exactly_hermitian_part():
@@ -225,3 +226,18 @@ def test_partial_trace_preserves_trace_and_rejects_bad_side():
     with pytest.raises(ValueError):
         partial_trace(m, dims, "C")
 
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BipartiteDims(0, 2), "local dimensions must be positive"),
+        (lambda: check_square(np.zeros((2, 3))), "must be square"),
+        (lambda: dd_gradient(np.eye(4) / 4, np.eye(9) / 9), "shape mismatch"),
+        (lambda: isotropic(1, 0.5), "need local dimension >= 2"),
+    ],
+    ids=["dims", "square", "dd-shapes", "isotropic-k"],
+)
+def test_shape_errors_name_the_violation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -93,7 +93,7 @@ def test_project_ppt_output_feasible_and_idempotent():
         out = project_ppt(raw, DIMS22)
         state = out.state
         state.validate()
-        assert is_ppt(state, tol=1e-10).ok
+        assert is_ppt(state).min_eig >= -1e-10
         again = project_ppt(state.matrix, DIMS22)
         assert frobenius(again.state.matrix - state.matrix) <= 1e-8
 
@@ -116,7 +116,7 @@ def test_project_ppt_accepts_hermitian_non_state_input():
     raw = random_hermitian(rng, 4)
     out = project_ppt(raw, DIMS22)
     out.state.validate()
-    assert is_ppt(out.state, tol=1e-10).ok
+    assert is_ppt(out.state).min_eig >= -1e-10
 
 
 @given(
@@ -285,7 +285,7 @@ def test_minimize_bound_is_attained_by_reported_sigma():
     rho = bell_diagonal([0.6, 0.25, 0.1, 0.05])
     res = minimize_rel_entropy(rho)
     assert res.converged
-    assert is_ppt(res.sigma_opt, tol=1e-9).ok
+    assert is_ppt(res.sigma_opt).min_eig >= -1e-9
     assert relative_entropy(rho, res.sigma_opt) == pytest.approx(res.bound_bits, abs=1e-9)
 
 
@@ -435,7 +435,7 @@ def test_final_mix_outweighs_negative_eigenvalue():
     assert np.linalg.eigvalsh(mixed)[0] > 0.0
     assert abs(np.trace(mixed) - 1.0) <= 1e-12
     state = DensityMatrix(matrix=mixed, dims=DIMS22)
-    assert is_ppt(state, tol=0.0).ok
+    assert is_ppt(state).min_eig >= 0.0
     assert np.isfinite(relative_entropy(isotropic(2, 0.9), state))
 
 

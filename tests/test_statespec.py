@@ -94,6 +94,10 @@ def test_unknown_family_and_bad_shapes():
         spec_to_state({"family": "max_correlated", "params": {}})
     with pytest.raises(StateSpecError, match="family 'max_correlated': alpha: trace invariant"):
         spec_to_state({"family": "max_correlated", "params": {"alpha": [[0.5, 0.0], [0.0, 0.4]]}})
+    with pytest.raises(StateSpecError, match=r"unknown keys \['k'\] in 'params' of family 'counterexample_rho'"):
+        spec_to_state({"family": "counterexample_rho", "params": {"k": 3}})
+    with pytest.raises(StateSpecError, match=r"unknown keys \['k'\] in 'params' of family 'pure'"):
+        spec_to_state({"family": "pure", "params": {"schmidt": [0.5, 0.5], "k": 3}})
 
 
 def test_explicit_requires_consistent_dims():
